@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <mutex>
 
 #include "obs/profile.h"
@@ -112,15 +113,62 @@ void Catalog::FireDdlHook(DdlOp op, const CatalogObject* obj,
 }
 
 void Catalog::NotifyAlter(DdlOp op, const CatalogObject* obj,
-                          std::string detail, HlcTimestamp ts) {
-  const char* name = op == DdlOp::kAlterTargetLag ? "ALTER SET TARGET_LAG"
-                     : op == DdlOp::kAlterSuspend ? "ALTER SUSPEND"
-                                                  : "ALTER RESUME";
+                          HlcTimestamp ts) {
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    Log(name, obj->name, obj->id, ts);
+    Log(op == DdlOp::kAlterSuspend ? "ALTER SUSPEND" : "ALTER RESUME",
+        obj->name, obj->id, ts);
   }
-  FireDdlHook(op, obj, obj->name, std::move(detail), ts);
+  FireDdlHook(op, obj, obj->name, "", ts);
+}
+
+void Catalog::AlterTargetLag(CatalogObject* dt, TargetLag lag,
+                             HlcTimestamp ts) {
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    dt->dt->def.target_lag = lag;
+    ++graph_epoch_;
+    Log("ALTER SET TARGET_LAG", dt->name, dt->id, ts);
+  }
+  FireDdlHook(DdlOp::kAlterTargetLag, dt, dt->name, lag.ToString(), ts);
+}
+
+void Catalog::AppendObjectLocked(std::unique_ptr<CatalogObject> obj) {
+  graph_.emplace_back();
+  objects_.push_back(std::move(obj));
+  const CatalogObject& added = *objects_.back();
+  if (added.dt != nullptr) RelinkLocked(added.id, added.dt->plan);
+  ++graph_epoch_;
+}
+
+void Catalog::RelinkLocked(ObjectId dt, const PlanPtr& plan) {
+  // Plans scan only objects that already exist (or the DUAL pseudo-table,
+  // whose id is out of range).
+  auto readers_of = [this](ObjectId src) -> std::vector<ObjectId>* {
+    if (src == kInvalidObjectId || src > graph_.size()) return nullptr;
+    return &graph_[src - 1].readers;
+  };
+  GraphEdges& edges = graph_[dt - 1];
+  for (ObjectId src : edges.sources) {
+    if (std::vector<ObjectId>* readers = readers_of(src)) {
+      auto at = std::lower_bound(readers->begin(), readers->end(), dt);
+      if (at != readers->end() && *at == dt) readers->erase(at);
+    }
+  }
+  edges.sources = CollectScanIds(plan);
+  for (ObjectId src : edges.sources) {
+    if (std::vector<ObjectId>* readers = readers_of(src)) {
+      readers->insert(std::lower_bound(readers->begin(), readers->end(), dt),
+                      dt);
+    }
+  }
+}
+
+void Catalog::SetDtPlan(CatalogObject* dt, PlanPtr plan) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  dt->dt->plan = std::move(plan);
+  RelinkLocked(dt->id, dt->dt->plan);
+  ++graph_epoch_;
 }
 
 Status Catalog::RestoreObject(std::unique_ptr<CatalogObject> obj) {
@@ -139,7 +187,7 @@ Status Catalog::RestoreObject(std::unique_ptr<CatalogObject> obj) {
     by_name_[key] = obj->id;
   }
   ++next_id_;
-  objects_.push_back(std::move(obj));
+  AppendObjectLocked(std::move(obj));
   return OkStatus();
 }
 
@@ -154,7 +202,7 @@ Result<ObjectId> Catalog::Register(std::unique_ptr<CatalogObject> obj,
   ObjectId id = obj->id;
   by_name_[key] = id;
   Log(op, obj->name, id, ts);
-  objects_.push_back(std::move(obj));
+  AppendObjectLocked(std::move(obj));
   return id;
 }
 
@@ -216,6 +264,7 @@ Status Catalog::DropObject(const std::string& name, HlcTimestamp ts) {
     }
     CatalogObject* obj = objects_[it->second - 1].get();
     obj->dropped = true;
+    ++graph_epoch_;
     Log("DROP", name, obj->id, ts);
     by_name_.erase(it);
   }
@@ -242,6 +291,7 @@ Status Catalog::UndropObject(const std::string& name, HlcTimestamp ts) {
       return NotFound("no dropped object named '" + name + "'");
     }
     found->dropped = false;
+    ++graph_epoch_;
     by_name_[key] = found->id;
     Log("UNDROP", name, found->id, ts);
   }
@@ -262,6 +312,7 @@ Result<ObjectId> Catalog::ReplaceBaseTable(const std::string& name,
         return FailedPrecondition("'" + name + "' is not a base table");
       }
       old->dropped = true;
+      ++graph_epoch_;
       by_name_.erase(it);
       Log("REPLACE (drop old)", name, old->id, ts);
     }
@@ -360,32 +411,90 @@ std::vector<CatalogObject*> Catalog::AllDynamicTables() {
 std::vector<ObjectId> Catalog::DownstreamDynamicTables(ObjectId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<ObjectId> out;
-  for (const auto& obj : objects_) {
-    if (obj->dropped || obj->kind != ObjectKind::kDynamicTable) continue;
-    for (ObjectId scanned : CollectScanIds(obj->dt->plan)) {
-      if (scanned == id) {
-        out.push_back(obj->id);
-        break;
-      }
-    }
+  if (id == kInvalidObjectId || id > graph_.size()) return out;
+  for (ObjectId reader : graph_[id - 1].readers) {
+    if (!objects_[reader - 1]->dropped) out.push_back(reader);
   }
   return out;
+}
+
+void Catalog::UpstreamLocked(ObjectId dt_id, std::vector<ObjectId>* out) const {
+  if (dt_id == kInvalidObjectId || dt_id > objects_.size()) return;
+  for (ObjectId src : graph_[dt_id - 1].sources) {
+    if (src == kInvalidObjectId || src > objects_.size()) continue;
+    const CatalogObject* up = objects_[src - 1].get();
+    if (up->kind == ObjectKind::kDynamicTable && !up->dropped) {
+      out->push_back(src);
+    }
+  }
 }
 
 std::vector<ObjectId> Catalog::UpstreamDynamicTables(ObjectId dt_id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<ObjectId> out;
-  if (dt_id == kInvalidObjectId || dt_id > objects_.size()) return out;
-  const CatalogObject* obj = objects_[dt_id - 1].get();
-  if (obj->kind != ObjectKind::kDynamicTable) return out;
-  for (ObjectId scanned : CollectScanIds(obj->dt->plan)) {
-    if (scanned == kInvalidObjectId || scanned > objects_.size()) continue;
-    const CatalogObject* up = objects_[scanned - 1].get();
-    if (up->kind == ObjectKind::kDynamicTable && !up->dropped) {
-      out.push_back(scanned);
-    }
-  }
+  UpstreamLocked(dt_id, &out);
   return out;
+}
+
+std::vector<ObjectId> Catalog::SourcesOf(ObjectId dt_id) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (dt_id == kInvalidObjectId || dt_id > graph_.size()) return {};
+  return graph_[dt_id - 1].sources;
+}
+
+bool Catalog::TopoVisitLocked(const std::vector<ObjectId>& roots,
+                              std::vector<uint8_t>* state,
+                              std::vector<ObjectId>* order) const {
+  bool acyclic = true;
+  std::function<void(ObjectId)> visit = [&](ObjectId id) {
+    (*state)[id] = 1;
+    std::vector<ObjectId> upstream;
+    UpstreamLocked(id, &upstream);
+    for (ObjectId up : upstream) {
+      if ((*state)[up] == 1) acyclic = false;
+      if ((*state)[up] == 0) visit(up);
+    }
+    (*state)[id] = 2;
+    order->push_back(id);
+  };
+  for (ObjectId root : roots) {
+    if ((*state)[root] == 0) visit(root);
+  }
+  return acyclic;
+}
+
+Result<std::vector<ObjectId>> Catalog::TopoOrder() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> cache_lock(topo_mu_);
+  if (topo_epoch_ != graph_epoch_) {
+    topo_epoch_ = graph_epoch_;
+    ++graph_builds_;
+    std::vector<ObjectId> roots;
+    for (const auto& obj : objects_) {
+      if (!obj->dropped && obj->kind == ObjectKind::kDynamicTable) {
+        roots.push_back(obj->id);
+      }
+    }
+    std::vector<uint8_t> state(objects_.size() + 1, 0);
+    topo_order_.clear();
+    topo_cyclic_ = !TopoVisitLocked(roots, &state, &topo_order_);
+  }
+  if (topo_cyclic_) {
+    return FailedPrecondition("cycle detected in dynamic table graph");
+  }
+  return topo_order_;
+}
+
+Result<std::vector<ObjectId>> Catalog::UpstreamClosure(ObjectId dt_id) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::vector<ObjectId> roots;
+  UpstreamLocked(dt_id, &roots);
+  std::vector<uint8_t> state(objects_.size() + 1, 0);
+  std::vector<ObjectId> order;
+  if (!TopoVisitLocked(roots, &state, &order)) {
+    return FailedPrecondition("cycle detected in dynamic table graph");
+  }
+  return order;
 }
 
 void Catalog::Grant(ObjectId object, const std::string& role, Privilege priv) {

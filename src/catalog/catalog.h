@@ -238,12 +238,22 @@ struct DdlHookInfo {
 
 /// Thread-safety: DDL is single-threaded (never during a scheduler tick or
 /// under serve load mid-flight DDL), but *lookups* run concurrently from
-/// refresh workers and serve reader threads. The name→id map and the object
-/// vector are therefore guarded by a shared_mutex — shared in
-/// Find/FindById/Exists/AllDynamicTables/Downstream/Upstream, exclusive in
-/// every DDL mutation — matching the FunctionRegistry pattern. Object
-/// *contents* have their own per-layer contracts (VersionedTable,
-/// DynamicTableMeta above).
+/// refresh workers and serve reader threads. The name→id map, the object
+/// vector, and the dependency-graph index are therefore guarded by a
+/// shared_mutex — shared in Find/FindById/Exists/AllDynamicTables and the
+/// graph reads, exclusive in every DDL mutation — matching the
+/// FunctionRegistry pattern. Object *contents* have their own per-layer
+/// contracts (VersionedTable, DynamicTableMeta above).
+///
+/// Dependency graph (§3.2, §5.2). The catalog indexes, for every DT, the
+/// objects its plan scans (CollectScanIds of the plan) and, for every
+/// object, the DTs whose plans scan it. Every change to an edge, to an
+/// object's dropped flag, or to a target lag goes through a mutator that
+/// holds mu_ exclusively and bumps graph_epoch(): Register (CREATE, REPLACE,
+/// CLONE), RestoreObject, Drop/Undrop, AlterTargetLag, and SetDtPlan (the
+/// §5.4 refresh-time rebind, which runs during a tick's parallel execute
+/// phase). Structures derived from the graph — TopoOrder() here, the
+/// scheduler's effective-lag and period memo — are cached per epoch.
 class Catalog {
  public:
   Catalog() = default;
@@ -316,11 +326,47 @@ class Catalog {
     return objects_[index].get();
   }
 
-  /// Object ids of non-dropped DTs that directly read `id`.
+  // ---- Dependency graph (see the class comment) ----
+
+  /// Object ids of non-dropped DTs that directly read `id`, ascending.
+  /// O(in-degree).
   std::vector<ObjectId> DownstreamDynamicTables(ObjectId id) const;
 
-  /// Direct upstream dependencies of a DT that are themselves DTs.
+  /// Direct upstream dependencies of a DT that are themselves non-dropped
+  /// DTs, ascending. O(out-degree).
   std::vector<ObjectId> UpstreamDynamicTables(ObjectId dt_id) const;
+
+  /// Every object id a DT's plan scans (dropped or not), ascending.
+  std::vector<ObjectId> SourcesOf(ObjectId dt_id) const;
+
+  /// Every non-dropped DT, upstream first: a depth-first walk over the DTs
+  /// in id order that emits each DT after its upstream DTs (ascending id).
+  /// Cached per graph epoch. FailedPrecondition if the DT graph has a cycle.
+  Result<std::vector<ObjectId>> TopoOrder() const;
+
+  /// The DTs `dt_id` transitively reads, excluding itself, upstream first:
+  /// the same walk rooted at its upstream DTs. O(closure), uncached — DDL
+  /// calls it per created DT. FailedPrecondition on a cycle.
+  Result<std::vector<ObjectId>> UpstreamClosure(ObjectId dt_id) const;
+
+  /// Bumped by every graph mutation; derived structures compare it to decide
+  /// whether their cache is stale.
+  uint64_t graph_epoch() const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return graph_epoch_;
+  }
+
+  /// How many times TopoOrder() rebuilt its cache (one per epoch that was
+  /// read). A steady pipeline with no DDL builds the graph zero times.
+  uint64_t graph_builds() const {
+    std::lock_guard<std::mutex> lock(topo_mu_);
+    return graph_builds_;
+  }
+
+  /// §5.4 query evolution: installs a rebound plan for a DT and re-derives
+  /// its edges. Safe during the execute phase: it touches only this DT's
+  /// plan and the index, under mu_.
+  void SetDtPlan(CatalogObject* dt, PlanPtr plan);
 
   // ---- RBAC ----
 
@@ -342,11 +388,15 @@ class Catalog {
   using DdlHook = std::function<void(const DdlHookInfo&)>;
   void set_ddl_hook(DdlHook hook) { ddl_hook_ = std::move(hook); }
 
-  /// Journals an ALTER DYNAMIC TABLE state change (SET TARGET_LAG / SUSPEND /
-  /// RESUME) into the DDL log and the durability hook. The engine mutates
-  /// the DT metadata itself; this records that it happened.
-  void NotifyAlter(DdlOp op, const CatalogObject* obj, std::string detail,
-                   HlcTimestamp ts);
+  /// Journals an ALTER DYNAMIC TABLE SUSPEND / RESUME into the DDL log and
+  /// the durability hook. The engine mutates the DT state itself; this
+  /// records that it happened.
+  void NotifyAlter(DdlOp op, const CatalogObject* obj, HlcTimestamp ts);
+
+  /// ALTER DYNAMIC TABLE ... SET TARGET_LAG: sets the lag (a graph
+  /// mutation — DOWNSTREAM lags and refresh periods derive from it), then
+  /// journals it like NotifyAlter.
+  void AlterTargetLag(CatalogObject* dt, TargetLag lag, HlcTimestamp ts);
 
   /// Recovery: appends `obj` as the next object id — must be called in id
   /// order with ids dense from 1 — and registers its name when not dropped.
@@ -367,11 +417,38 @@ class Catalog {
   void FireDdlHook(DdlOp op, const CatalogObject* obj, const std::string& name,
                    std::string detail, HlcTimestamp ts);
 
-  /// Guards objects_ / by_name_ / ddl_log_ per the class contract above.
+  // Graph helpers; callers hold mu_ (exclusively for the mutating ones).
+  void AppendObjectLocked(std::unique_ptr<CatalogObject> obj);
+  /// Replaces a DT's edges with those of `plan`.
+  void RelinkLocked(ObjectId dt, const PlanPtr& plan);
+  void UpstreamLocked(ObjectId dt_id, std::vector<ObjectId>* out) const;
+  /// Post-order DFS from `roots` over live upstream DTs, appending to
+  /// `order`; `state` is indexed by id (1 = on the path, 2 = emitted).
+  /// Returns false if it met a cycle.
+  bool TopoVisitLocked(const std::vector<ObjectId>& roots,
+                       std::vector<uint8_t>* state,
+                       std::vector<ObjectId>* order) const;
+
+  /// One DT plan's edges, indexed by object id - 1 like objects_.
+  struct GraphEdges {
+    std::vector<ObjectId> sources;  ///< CollectScanIds of the DT's plan.
+    std::vector<ObjectId> readers;  ///< DTs whose plan scans this object.
+  };
+
+  /// Guards objects_ / by_name_ / ddl_log_ / graph_ per the class contract.
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<CatalogObject>> objects_;  // by id-1
   std::unordered_map<std::string, ObjectId> by_name_;    // live objects
+  std::vector<GraphEdges> graph_;                        // by id-1
+  uint64_t graph_epoch_ = 0;
   std::vector<DdlEvent> ddl_log_;
+
+  /// TopoOrder cache. Lock order: mu_ (shared) before topo_mu_.
+  mutable std::mutex topo_mu_;
+  mutable uint64_t topo_epoch_ = ~uint64_t{0};
+  mutable std::vector<ObjectId> topo_order_;
+  mutable bool topo_cyclic_ = false;
+  mutable uint64_t graph_builds_ = 0;
   std::map<std::pair<ObjectId, std::string>, std::set<Privilege>> grants_;
   ObjectId next_id_ = 1;
   DdlHook ddl_hook_;

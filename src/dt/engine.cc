@@ -509,7 +509,7 @@ Result<QueryResult> DvsEngine::ExecuteAlterDt(const sql::AlterDtStmt& stmt) {
     }
     case sql::AlterDtStmt::Action::kSuspend:
       obj->dt->state = DtState::kSuspended;
-      catalog_.NotifyAlter(DdlOp::kAlterSuspend, obj, "",
+      catalog_.NotifyAlter(DdlOp::kAlterSuspend, obj,
                            txn_.NextCommitTimestamp());
       out.message = stmt.name + " suspended";
       break;
@@ -517,18 +517,15 @@ Result<QueryResult> DvsEngine::ExecuteAlterDt(const sql::AlterDtStmt& stmt) {
       obj->dt->state = DtState::kActive;
       obj->dt->consecutive_failures = 0;
       obj->dt->transient_failures = 0;
-      catalog_.NotifyAlter(DdlOp::kAlterResume, obj, "",
+      catalog_.NotifyAlter(DdlOp::kAlterResume, obj,
                            txn_.NextCommitTimestamp());
       out.message = stmt.name + " resumed";
       break;
     case sql::AlterDtStmt::Action::kSetTargetLag:
-      // The scheduler reads the definition on every tick, so the new lag
-      // (and the refresh period derived from it) takes effect at the next
-      // tick without restarting anything.
-      obj->dt->def.target_lag = stmt.target_lag;
-      catalog_.NotifyAlter(DdlOp::kAlterTargetLag, obj,
-                           stmt.target_lag.ToString(),
-                           txn_.NextCommitTimestamp());
+      // A graph mutation: the scheduler's lag/period memo goes stale with
+      // the epoch, so the new lag takes effect at the next tick.
+      catalog_.AlterTargetLag(obj, stmt.target_lag,
+                              txn_.NextCommitTimestamp());
       out.message = stmt.name + " target lag set to " +
                     stmt.target_lag.ToString();
       break;

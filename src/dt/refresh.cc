@@ -160,7 +160,7 @@ Status RefreshEngine::CheckQueryEvolution(CatalogObject* obj) {
   if (!(bound.plan->output_schema == obj->storage->schema())) {
     obj->storage->set_schema(bound.plan->output_schema);
   }
-  meta->plan = bound.plan;
+  catalog_->SetDtPlan(obj, bound.plan);
   meta->dependencies = std::move(bound.dependencies);
   meta->needs_reinit = true;
   return OkStatus();
@@ -170,7 +170,7 @@ Result<std::unordered_map<ObjectId, VersionId>>
 RefreshEngine::ResolveSourceVersions(const CatalogObject& obj,
                                      Micros refresh_ts) {
   std::unordered_map<ObjectId, VersionId> out;
-  for (ObjectId src : CollectScanIds(obj.dt->plan)) {
+  for (ObjectId src : catalog_->SourcesOf(obj.id)) {
     if (src == sql::kDualTableId) continue;
     auto found = catalog_->FindById(src);
     if (!found.ok()) {
@@ -189,8 +189,16 @@ RefreshEngine::ResolveSourceVersions(const CatalogObject& obj,
       }
       out[src] = *v;
     } else {
-      out[src] =
+      VersionId v =
           up->storage->ResolveVersionAt(HlcTimestamp::AtWallTime(refresh_ts));
+      if (v == kInvalidVersionId) {
+        // Retention pruned the version visible at refresh_ts: there is no
+        // version to pin and scan.
+        return FailedPrecondition("'" + up->name +
+                                  "' has no version at data timestamp " +
+                                  std::to_string(refresh_ts));
+      }
+      out[src] = v;
     }
   }
   return out;
@@ -352,6 +360,17 @@ Result<RefreshOutcome> RefreshEngine::Refresh(ObjectId dt_id,
       meta->data_timestamp = refresh_ts;
       out.dt_row_count = obj->storage->RowCountAt(vid);
       return out;
+    }
+
+    // A frontier version that retention pruned has no change scan to start
+    // from: the DT was dropped while GC ran (dropped DTs hold no floor) and
+    // then undropped. Recompute, like upstream DDL.
+    for (const auto& [src, v] : meta->frontier) {
+      auto found = catalog_->FindById(src);
+      if (source_versions.count(src) && found.ok() &&
+          !found.value()->storage->has_version(v)) {
+        meta->needs_reinit = true;
+      }
     }
 
     // REINITIALIZE: upstream DDL invalidated stored contents (§5.4).
@@ -569,31 +588,10 @@ void RefreshEngine::NoteTransientFailure(ObjectId dt_id, const Status& error) {
   if (failure_hook_) failure_hook_(dt_id, error, /*transient=*/true);
 }
 
-Result<std::vector<ObjectId>> RefreshEngine::UpstreamClosure(ObjectId dt_id) {
-  std::vector<ObjectId> order;
-  std::set<ObjectId> visited;
-  std::set<ObjectId> visiting;
-  Status err = OkStatus();
-  std::function<void(ObjectId)> dfs = [&](ObjectId id) {
-    if (!err.ok() || visited.count(id)) return;
-    if (visiting.count(id)) {
-      err = FailedPrecondition("cycle detected in dynamic table graph");
-      return;
-    }
-    visiting.insert(id);
-    for (ObjectId up : catalog_->UpstreamDynamicTables(id)) dfs(up);
-    visiting.erase(id);
-    visited.insert(id);
-    order.push_back(id);
-  };
-  for (ObjectId up : catalog_->UpstreamDynamicTables(dt_id)) dfs(up);
-  DVS_RETURN_IF_ERROR(err);
-  return order;
-}
-
 Result<RefreshOutcome> RefreshEngine::RefreshWithUpstream(ObjectId dt_id,
                                                           Micros refresh_ts) {
-  DVS_ASSIGN_OR_RETURN(std::vector<ObjectId> order, UpstreamClosure(dt_id));
+  DVS_ASSIGN_OR_RETURN(std::vector<ObjectId> order,
+                       catalog_->UpstreamClosure(dt_id));
   for (ObjectId up : order) {
     auto r = Refresh(up, refresh_ts);
     DVS_RETURN_IF_ERROR(r.ok() ? OkStatus() : r.status());
@@ -637,9 +635,23 @@ Result<Micros> RefreshEngine::Initialize(ObjectId dt_id, Micros now) {
     const Micros lag_limit = meta->def.target_lag.downstream
                                  ? INT64_MAX
                                  : meta->def.target_lag.duration;
+    // Every base-table source must resolve at the candidate too: retention
+    // may have pruned the version visible there.
+    auto bases_resolve = [&](Micros ts) {
+      for (ObjectId src : catalog_->SourcesOf(dt_id)) {
+        auto found = catalog_->FindById(src);
+        if (found.ok() && found.value()->kind == ObjectKind::kBaseTable &&
+            found.value()->storage->ResolveVersionAt(
+                HlcTimestamp::AtWallTime(ts)) == kInvalidVersionId) {
+          return false;
+        }
+      }
+      return true;
+    };
     Micros chosen = -1;
     for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      if (*it <= now && (lag_limit == INT64_MAX || now - *it <= lag_limit)) {
+      if (*it <= now && (lag_limit == INT64_MAX || now - *it <= lag_limit) &&
+          bases_resolve(*it)) {
         chosen = *it;
         break;
       }

@@ -103,10 +103,6 @@ class RefreshEngine {
   /// Scan resolver for executing plans at data timestamp `ts`.
   ScanResolver MakeResolver(Micros ts, bool exact_dt);
 
-  /// Topological order (upstream first) of the DTs `dt_id` depends on,
-  /// excluding `dt_id` itself.
-  Result<std::vector<ObjectId>> UpstreamClosure(ObjectId dt_id);
-
   const RefreshEngineOptions& options() const { return options_; }
   RefreshEngineOptions* mutable_options() { return &options_; }
 

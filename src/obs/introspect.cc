@@ -411,6 +411,17 @@ EngineMetrics::EngineMetrics(DvsEngine* engine, Registry* registry)
     names_.push_back(f.name);
   }
 
+  // Graph rebuilds happen on the first graph read after an epoch bump. The
+  // reads come from the serial plan phase and DDL, and every bump (a
+  // mid-execute §5.4 rebind included) lands before the next tick's plan, so
+  // the count is the same at any worker count.
+  registry_->RegisterGaugeFn(
+      "catalog.graph_builds", "Dependency-graph rebuilds (one per DDL epoch)",
+      /*deterministic=*/true, [engine]() {
+        return static_cast<int64_t>(engine->catalog().graph_builds());
+      });
+  names_.push_back("catalog.graph_builds");
+
   // exec.* / storage.batch_cache.*: the process-global ExecCounters
   // (obs/profile.h), reported as deltas against their values at registration
   // time. The delta keeps per-run registries comparable when several runs

@@ -45,7 +45,8 @@ void InstallIntrospection(DvsEngine* engine, Scheduler* scheduler);
 ///    (deterministic, except the serve-driven snapshot_pins /
 ///    snapshot_read_rows);
 ///  - dt.*      : graph state — DT count, suspended/initialized/needs_reinit
-///    counts, failure totals (deterministic).
+///    counts, failure totals (deterministic);
+///  - catalog.graph_builds: dependency-graph rebuilds (deterministic).
 class EngineMetrics {
  public:
   EngineMetrics(DvsEngine* engine, Registry* registry);

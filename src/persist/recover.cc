@@ -131,14 +131,13 @@ Status ApplyDdl(RecoveredSystem* sys, std::string_view payload) {
     }
     case DdlOp::kAlterTargetLag: {
       DVS_ASSIGN_OR_RETURN(CatalogObject * obj, catalog.Find(img.name));
-      obj->dt->def.target_lag = img.lag;
-      catalog.NotifyAlter(DdlOp::kAlterTargetLag, obj, "", img.ts);
+      catalog.AlterTargetLag(obj, img.lag, img.ts);
       break;
     }
     case DdlOp::kAlterSuspend: {
       DVS_ASSIGN_OR_RETURN(CatalogObject * obj, catalog.Find(img.name));
       obj->dt->state = DtState::kSuspended;
-      catalog.NotifyAlter(DdlOp::kAlterSuspend, obj, "", img.ts);
+      catalog.NotifyAlter(DdlOp::kAlterSuspend, obj, img.ts);
       break;
     }
     case DdlOp::kAlterResume: {
@@ -146,7 +145,7 @@ Status ApplyDdl(RecoveredSystem* sys, std::string_view payload) {
       obj->dt->state = DtState::kActive;
       obj->dt->consecutive_failures = 0;
       obj->dt->transient_failures = 0;
-      catalog.NotifyAlter(DdlOp::kAlterResume, obj, "", img.ts);
+      catalog.NotifyAlter(DdlOp::kAlterResume, obj, img.ts);
       break;
     }
   }
@@ -202,7 +201,7 @@ Status ApplyRefresh(RecoveredSystem* sys, std::string_view payload) {
   // the recovered catalog, which is in the same state the live bind saw.
   if (!DepsEqual(meta->dependencies, img.deps)) {
     auto plan = BindSql(catalog, meta->def.sql);
-    if (plan.ok()) meta->plan = plan.take();
+    if (plan.ok()) catalog.SetDtPlan(obj, plan.take());
   }
   if (!(obj->storage->schema() == img.schema)) {
     obj->storage->set_schema(img.schema);

@@ -1,14 +1,35 @@
 #include "persist/retention.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "persist/manager.h"
 
 namespace dvs {
 namespace persist {
 
-VersionId RetentionKeepFrom(const Catalog& catalog, const CatalogObject& obj,
-                            Micros now) {
+namespace {
+
+/// Every source's minimum consumer frontier, in one pass over the DTs'
+/// edges. Suspended and failing DTs count too (they may resume).
+std::unordered_map<ObjectId, VersionId> ConsumerFloors(const Catalog& catalog) {
+  std::unordered_map<ObjectId, VersionId> floors;
+  for (size_t i = 0; i < catalog.object_count(); ++i) {
+    const CatalogObject* dt = catalog.ObjectAt(i);
+    if (dt->dropped || dt->kind != ObjectKind::kDynamicTable) continue;
+    for (ObjectId src : catalog.SourcesOf(dt->id)) {
+      auto it = dt->dt->frontier.find(src);
+      if (it == dt->dt->frontier.end()) continue;
+      auto [floor, added] = floors.try_emplace(src, it->second);
+      if (!added) floor->second = std::min(floor->second, it->second);
+    }
+  }
+  return floors;
+}
+
+/// The watermark for one object given every source's consumer floor.
+VersionId KeepFrom(const CatalogObject& obj, Micros now,
+                   const std::unordered_map<ObjectId, VersionId>& floors) {
   if (obj.min_data_retention < 0 || obj.storage == nullptr || obj.dropped) {
     return kInvalidVersionId;
   }
@@ -25,22 +46,21 @@ VersionId RetentionKeepFrom(const Catalog& catalog, const CatalogObject& obj,
   }
 
   // (b) Downstream incremental refreshes: never prune at or above a
-  // consumer's frontier — its next change scan starts there. Suspended and
-  // failing DTs count too (they may resume).
-  for (ObjectId down : catalog.DownstreamDynamicTables(obj.id)) {
-    auto found = catalog.FindById(down);
-    if (!found.ok()) continue;
-    const DynamicTableMeta* meta = found.value()->dt.get();
-    auto it = meta->frontier.find(obj.id);
-    if (it != meta->frontier.end()) {
-      keep_from = std::min(keep_from, it->second);
-    }
-  }
+  // consumer's frontier — its next change scan starts there.
+  auto floor = floors.find(obj.id);
+  if (floor != floors.end()) keep_from = std::min(keep_from, floor->second);
 
   // (c) The latest version is always kept (PruneVersionsBefore clamps too).
   keep_from = std::min(keep_from, table.latest_version());
   if (keep_from <= table.first_version()) return kInvalidVersionId;
   return keep_from;
+}
+
+}  // namespace
+
+VersionId RetentionKeepFrom(const Catalog& catalog, const CatalogObject& obj,
+                            Micros now) {
+  return KeepFrom(obj, now, ConsumerFloors(catalog));
 }
 
 PruneOutcome ApplyPruneToObject(CatalogObject* obj, VersionId keep_from) {
@@ -57,10 +77,11 @@ PruneOutcome ApplyPruneToObject(CatalogObject* obj, VersionId keep_from) {
 
 RetentionOutcome RunRetentionGc(Catalog& catalog, Micros now,
                                 Manager* manager) {
+  const auto floors = ConsumerFloors(catalog);
   RetentionOutcome out;
   for (size_t i = 0; i < catalog.object_count(); ++i) {
     CatalogObject* obj = catalog.MutableObjectAt(i);
-    VersionId keep_from = RetentionKeepFrom(catalog, *obj, now);
+    VersionId keep_from = KeepFrom(*obj, now, floors);
     if (keep_from == kInvalidVersionId) continue;
     out.Add(ApplyPruneToObject(obj, keep_from));
     if (manager != nullptr) manager->AppendPrune(obj->id, keep_from);

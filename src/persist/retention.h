@@ -37,7 +37,8 @@ struct RetentionOutcome {
 
 /// Computes the pruning watermark for one object under its retention window
 /// and the downstream frontiers, or kInvalidVersionId when nothing can be
-/// pruned. Pure — does not mutate.
+/// pruned. Pure — does not mutate. O(DT edges): RunRetentionGc shares one
+/// pass over the edges among all objects instead of calling this per object.
 VersionId RetentionKeepFrom(const Catalog& catalog, const CatalogObject& obj,
                             Micros now);
 

@@ -1,8 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 #include <unordered_map>
 
 #include "fault/injector.h"
@@ -61,49 +59,83 @@ Scheduler::Scheduler(DvsEngine* engine, VirtualClock* clock,
     counters_.changes_applied = reg.RegisterCounter(
         "sched.changes_applied", "Changes applied by successful refreshes",
         true);
+    // Checkpoints run in the serial finalize phase and persist.file.* faults
+    // decide per (seed, file path, counter), so failures are deterministic
+    // too.
+    counters_.checkpoint_failures = reg.RegisterCounter(
+        "persist.checkpoint_failures",
+        "Policy checkpoints that failed (the WAL stays authoritative)", true);
   }
 }
 
 Scheduler::~Scheduler() = default;
 
+void Scheduler::RefreshMemoLocked() {
+  Catalog& catalog = engine_->catalog();
+  const uint64_t epoch = catalog.graph_epoch();
+  if (memo_.epoch == epoch) return;
+  memo_ = GraphMemo{};
+  memo_.epoch = epoch;
+  // A cycle (reachable only through §5.4 rebinds) can never refresh: every
+  // member waits on another's version. Nothing is scheduled until DDL
+  // breaks it.
+  Result<std::vector<ObjectId>> order = catalog.TopoOrder();
+  if (!order.ok()) return;
+  memo_.order = order.take();
+
+  // Effective lags, downstream first: DOWNSTREAM is the minimum over the
+  // consumers' effective lags (§3.2) — refresh only when required by others.
+  for (auto it = memo_.order.rbegin(); it != memo_.order.rend(); ++it) {
+    const TargetLag& own = catalog.FindById(*it).value()->dt->def.target_lag;
+    std::optional<Micros> lag;
+    if (!own.downstream) {
+      lag = own.duration;
+    } else {
+      for (ObjectId down : catalog.DownstreamDynamicTables(*it)) {
+        const std::optional<Micros>& d = memo_.lag.at(down);
+        if (d.has_value() && (!lag.has_value() || *d < *lag)) lag = d;
+      }
+    }
+    memo_.lag[*it] = lag;
+  }
+
+  // Periods, upstream first.
+  for (ObjectId id : memo_.order) {
+    const std::optional<Micros>& lag = memo_.lag.at(id);
+    Micros p = 0;  // never scheduled (manual only)
+    if (lag.has_value()) {
+      if (options_.canonical_periods) {
+        // Leave headroom for waiting (w) and duration (d): target half the
+        // lag, then snap down to the canonical set (§5.2).
+        p = LargestCanonicalPeriodAtMost(*lag / 2);
+      } else {
+        // E9 ablation baseline: period = the target lag itself, floored to
+        // the tick grid (no canonical snapping, no headroom).
+        p = std::max(kCanonicalBasePeriod,
+                     (*lag / kCanonicalBasePeriod) * kCanonicalBasePeriod);
+      }
+      // The period must be >= every upstream period so aligned data
+      // timestamps exist (§5.2).
+      for (ObjectId up : catalog.UpstreamDynamicTables(id)) {
+        p = std::max(p, memo_.period.at(up));
+      }
+    }
+    memo_.period[id] = p;
+  }
+}
+
 std::optional<Micros> Scheduler::EffectiveTargetLag(ObjectId dt_id) {
-  auto obj = engine_->catalog().FindById(dt_id);
-  if (!obj.ok() || obj.value()->kind != ObjectKind::kDynamicTable) {
-    return std::nullopt;
-  }
-  const TargetLag& lag = obj.value()->dt->def.target_lag;
-  if (!lag.downstream) return lag.duration;
-  // DOWNSTREAM: min over downstream consumers (§3.2) — refresh only when
-  // required by others.
-  std::optional<Micros> best;
-  for (ObjectId down : engine_->catalog().DownstreamDynamicTables(dt_id)) {
-    std::optional<Micros> d = EffectiveTargetLag(down);
-    if (d.has_value() && (!best.has_value() || *d < *best)) best = d;
-  }
-  return best;
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  RefreshMemoLocked();
+  auto it = memo_.lag.find(dt_id);
+  return it == memo_.lag.end() ? std::nullopt : it->second;
 }
 
 Micros Scheduler::RefreshPeriod(ObjectId dt_id) {
-  std::optional<Micros> lag = EffectiveTargetLag(dt_id);
-  if (!lag.has_value()) return 0;  // never scheduled (manual only)
-
-  Micros p;
-  if (options_.canonical_periods) {
-    // Leave headroom for waiting (w) and duration (d): target half the lag,
-    // then snap down to the canonical set (§5.2).
-    p = LargestCanonicalPeriodAtMost(*lag / 2);
-  } else {
-    // E9 ablation baseline: period = the target lag itself, floored to the
-    // tick grid (no canonical snapping, no headroom).
-    p = std::max(kCanonicalBasePeriod,
-                 (*lag / kCanonicalBasePeriod) * kCanonicalBasePeriod);
-  }
-  // The period must be >= every upstream period so aligned data timestamps
-  // exist (§5.2).
-  for (ObjectId up : engine_->catalog().UpstreamDynamicTables(dt_id)) {
-    p = std::max(p, RefreshPeriod(up));
-  }
-  return p;
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  RefreshMemoLocked();
+  auto it = memo_.period.find(dt_id);
+  return it == memo_.period.end() ? 0 : it->second;
 }
 
 void Scheduler::ExecuteNode(TickNode* node, Micros t) {
@@ -295,19 +327,10 @@ void Scheduler::Tick(Micros t) {
   std::vector<TickNode> nodes;
   {
     obs::TraceSpan plan_span("sched", "tick.plan");
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    RefreshMemoLocked();
 
-    // Topological order, upstream first.
-    std::vector<CatalogObject*> dts = catalog.AllDynamicTables();
-    std::vector<ObjectId> order;
-    std::set<ObjectId> visited;
-    std::function<void(ObjectId)> dfs = [&](ObjectId id) {
-      if (!visited.insert(id).second) return;
-      for (ObjectId up : catalog.UpstreamDynamicTables(id)) dfs(up);
-      order.push_back(id);
-    };
-    for (CatalogObject* obj : dts) dfs(obj->id);
-
-    nodes.reserve(order.size());
+    nodes.reserve(memo_.order.size());
     // Injected warehouse outages are decided here, serially, once per tick
     // per distinct warehouse (first due DT on it evaluates the site) — never
     // in the parallel execute phase, where evaluation order would depend on
@@ -315,14 +338,13 @@ void Scheduler::Tick(Micros t) {
     // burst = N.
     fault::FaultInjector* inj = fault::ActiveInjector();
     std::map<std::string, Status> outages;
-    for (ObjectId dt_id : order) {
-      auto found = catalog.FindById(dt_id);
-      if (!found.ok()) continue;
-      CatalogObject* obj = found.value();
+    // Topological order, upstream first.
+    for (ObjectId dt_id : memo_.order) {
+      CatalogObject* obj = catalog.FindById(dt_id).value();
       DynamicTableMeta* meta = obj->dt.get();
       if (meta->state == DtState::kSuspended) continue;
 
-      Micros period = RefreshPeriod(dt_id);
+      Micros period = memo_.period.at(dt_id);
       if (period == 0 || t % period != 0) continue;
       if (meta->refresh_versions.count(t)) continue;  // e.g. manual refresh
 
@@ -429,8 +451,12 @@ void Scheduler::Tick(Micros t) {
       SchedulerPersistState state = ExportState();
       // A checkpoint failure leaves the previous generation authoritative;
       // the WAL keeps growing, so durability degrades to longer recovery
-      // rather than data loss. Surfaced via Manager::wal_status.
-      (void)options_.persistence->Checkpoint(&state);
+      // rather than data loss, and the next tick retries (the policy has not
+      // been reset). Counted here, surfaced via Manager::wal_status.
+      Status s = options_.persistence->Checkpoint(&state);
+      if (!s.ok() && counters_.checkpoint_failures != nullptr) {
+        *counters_.checkpoint_failures += 1;
+      }
     }
   }
 }

@@ -37,7 +37,9 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "dt/engine.h"
@@ -144,9 +146,11 @@ class Scheduler {
 
   /// Effective target lag of a DT: its duration, or min over downstream for
   /// DOWNSTREAM (nullopt if DOWNSTREAM with no consumer — never scheduled).
+  /// Memoized per catalog graph epoch.
   std::optional<Micros> EffectiveTargetLag(ObjectId dt_id);
 
-  /// The refresh period chosen for a DT (§5.2 heuristic).
+  /// The refresh period chosen for a DT (§5.2 heuristic); 0 when never
+  /// scheduled. Memoized per catalog graph epoch.
   Micros RefreshPeriod(ObjectId dt_id);
 
   const std::vector<RefreshRecord>& log() const { return log_; }
@@ -210,6 +214,17 @@ class Scheduler {
     obs::Counter* retry_backoff_us = nullptr;
     obs::Counter* rows_processed = nullptr;
     obs::Counter* changes_applied = nullptr;
+    obs::Counter* checkpoint_failures = nullptr;
+  };
+
+  /// Everything the scheduler derives from the catalog's dependency graph,
+  /// rebuilt only when the graph epoch moves (DDL, ALTER ... TARGET_LAG, a
+  /// §5.4 rebind) — a steady tick reads it without walking any plan.
+  struct GraphMemo {
+    uint64_t epoch = ~uint64_t{0};
+    std::vector<ObjectId> order;  ///< Catalog::TopoOrder(); empty on a cycle.
+    std::unordered_map<ObjectId, std::optional<Micros>> lag;
+    std::unordered_map<ObjectId, Micros> period;
   };
 
   void Tick(Micros t);
@@ -220,6 +235,8 @@ class Scheduler {
   void FinalizeNode(TickNode* node, Micros t);
   /// Applies one finalized record to the registry counters (serial).
   void CountRecord(const RefreshRecord& rec);
+  /// Brings memo_ up to the catalog's graph epoch. Caller holds memo_mu_.
+  void RefreshMemoLocked();
 
   DvsEngine* engine_;
   VirtualClock* clock_;
@@ -238,6 +255,9 @@ class Scheduler {
   std::unique_ptr<runtime::DagRefreshRunner> runner_;
   std::map<std::string, int> max_gate_occupancy_;
   Counters counters_;
+  /// Guards memo_: GRAPH_HISTORY reads effective lags from query threads.
+  std::mutex memo_mu_;
+  GraphMemo memo_;
 };
 
 }  // namespace dvs

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "dt/engine.h"
+#include "persist/retention.h"
 
 namespace dvs {
 namespace {
@@ -251,6 +252,52 @@ TEST_F(EngineTest, InitializationRefreshesStaleUpstream) {
   // Upstream timestamp was outside the lag: both refreshed at creation time.
   EXPECT_EQ(Meta("down").data_timestamp, clock_.Now());
   EXPECT_EQ(Meta("up").data_timestamp, clock_.Now());
+}
+
+TEST_F(EngineTest, InitializationSkipsTimestampsRetentionPruned) {
+  Exec("CREATE TABLE src (k INT, v INT)");
+  Exec("INSERT INTO src VALUES (1, 10), (2, 20)");
+  Exec("CREATE TABLE dim (k INT, w INT) MIN_DATA_RETENTION = '1 minute'");
+  Exec("INSERT INTO dim VALUES (1, 5)");
+  Exec("CREATE DYNAMIC TABLE up TARGET_LAG = '10 minutes' WAREHOUSE = wh "
+       "AS SELECT k, v FROM src");
+  const Micros up_ts = Meta("up").data_timestamp;
+
+  // Retention prunes dim's version at up's data timestamp, so that shared
+  // upstream timestamp cannot initialize `j`: the chain refreshes now.
+  for (int i = 0; i < 4; ++i) {
+    clock_.Advance(kMicrosPerMinute);
+    Exec("INSERT INTO dim VALUES (" + std::to_string(i + 2) + ", 6)");
+  }
+  persist::RunRetentionGc(engine_.catalog(), clock_.Now(), nullptr);
+  Exec("CREATE DYNAMIC TABLE j TARGET_LAG = '10 minutes' WAREHOUSE = wh "
+       "AS SELECT u.k AS k, d.w AS w FROM up u JOIN dim d ON u.k = d.k");
+  EXPECT_GT(Meta("j").data_timestamp, up_ts);
+  EXPECT_EQ(Meta("j").data_timestamp, clock_.Now());
+  EXPECT_EQ(Q("SELECT * FROM j").rows.size(), 2u);
+  ExpectDvsInvariant("j");
+}
+
+TEST_F(EngineTest, UndroppedDtReinitializesWhenRetentionPrunedItsFrontier) {
+  Exec("CREATE TABLE src (v INT) MIN_DATA_RETENTION = '2 minutes'");
+  Exec("INSERT INTO src VALUES (1)");
+  Exec("CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "AS SELECT v FROM src");
+  // While dt is dropped it holds no retention floor on src.
+  Exec("DROP DYNAMIC TABLE dt");
+  for (int i = 2; i < 8; ++i) {
+    clock_.Advance(kMicrosPerMinute);
+    Exec("INSERT INTO src VALUES (" + std::to_string(i) + ")");
+    persist::RunRetentionGc(engine_.catalog(), clock_.Now(), nullptr);
+  }
+  Exec("UNDROP DYNAMIC TABLE dt");
+  const CatalogObject* src = engine_.catalog().Find("src").value();
+  const ObjectId src_id = src->id;
+  ASSERT_LT(Meta("dt").frontier.at(src_id), src->storage->first_version());
+
+  EXPECT_EQ(ManualRefresh("dt").action, RefreshAction::kReinitialize);
+  EXPECT_EQ(Q("SELECT * FROM dt").rows.size(), 7u);
+  ExpectDvsInvariant("dt");
 }
 
 TEST_F(EngineTest, DropUpstreamFailsRefreshUndropResumes) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -472,18 +473,32 @@ TEST(ProfileConcurrencyTest, ScrapeWhileSchedulerRuns) {
   obs::InstallIntrospection(&engine, &sched);
 
   // Scraper thread hammers the mutex-guarded profile rings while refresh
-  // workers publish into them.
+  // workers publish into them. Handshake: the rounds start only after the
+  // first scrape returned, so the scrapes overlap them however the threads
+  // get scheduled.
   std::atomic<bool> stop{false};
   std::atomic<int> scrapes{0};
+  std::promise<Status> first_scrape;
   std::thread scraper([&] {
+    bool first = true;
     while (!stop.load(std::memory_order_relaxed)) {
       for (int i = 0; i < 4; ++i) {
         auto r = engine.Query("SELECT * FROM refresh_profile('dt_" +
                               std::to_string(i) + "')");
         if (r.ok()) scrapes.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first_scrape.set_value(r.ok() ? OkStatus() : r.status());
+          first = false;
+        }
       }
     }
   });
+  Status first_status = first_scrape.get_future().get();
+  if (!first_status.ok()) {
+    stop.store(true, std::memory_order_relaxed);
+    scraper.join();
+    FAIL() << "first scrape failed: " << first_status.ToString();
+  }
   for (int round = 0; round < 12; ++round) {
     exec("INSERT INTO t VALUES (" + std::to_string(round + 6) + ", " +
          std::to_string(round) + ")");

@@ -13,6 +13,7 @@
 #include <filesystem>
 
 #include "fault/injector.h"
+#include "obs/metrics.h"
 #include "persist/manager.h"
 #include "persist/recover.h"
 #include "persist/retention.h"
@@ -339,6 +340,74 @@ TEST(RecoveryCheckpointTest, PolicyRotatesWalAndOldGenerationsAreDropped) {
   rclock.AdvanceTo(clock.Now());
   EXPECT_EQ(Fingerprint(*recovered.value().engine, &recovered.value().sched),
             live_fp);
+}
+
+uint64_t CounterValue(obs::Registry& reg, const std::string& name) {
+  for (const obs::MetricSample& s : reg.Snapshot().samples) {
+    if (s.name == name) return static_cast<uint64_t>(s.value);
+  }
+  ADD_FAILURE() << name << " not registered";
+  return 0;
+}
+
+TEST(RecoveryCheckpointTest, FailedPolicyCheckpointIsCountedAndRetried) {
+  const std::string dir = UniqueDir("ckpt_fail");
+  VirtualClock clock(0);
+  DvsEngine engine(clock);
+  ManagerOptions mopts;
+  mopts.dir = dir;
+  mopts.checkpoint_every_n_ticks = 2;
+  auto manager = Manager::Open(mopts).take();
+  ASSERT_TRUE(manager->Attach(&engine).ok());
+
+  obs::Registry reg;
+  SchedulerOptions opts;
+  opts.persistence = manager.get();
+  opts.metrics = &reg;
+  Scheduler sched(&engine, &clock, opts);
+  BuildPipeline(engine);
+  const uint64_t taken = manager->checkpoints_taken();  // Attach's
+  const uint64_t gen = manager->generation();
+
+  // The next checkpoint file cannot be opened; the WAL is untouched.
+  fault::FaultInjector inj(5);
+  fault::SiteConfig cfg;
+  cfg.max_fires = 1;
+  cfg.scope_filter = "checkpoint-";
+  cfg.message = "disk full";
+  inj.Arm(fault::kSitePersistFileOpen, cfg);
+  fault::ScopedInjector active(&inj);
+
+  // Step 0 runs two ticks: the policy checkpoint at the second one fails.
+  int next_key = 0;
+  Churn(engine, sched, 0, 1, &next_key);
+  EXPECT_EQ(CounterValue(reg, "persist.checkpoint_failures"), 1u);
+  EXPECT_EQ(manager->checkpoints_taken(), taken);
+  EXPECT_EQ(manager->generation(), gen);
+
+  // The WAL stays authoritative: it alone recovers the live state.
+  SchedulerPersistState live_state = sched.ExportState();
+  {
+    VirtualClock rclock(0);
+    auto recovered = Recover(dir, &rclock);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(
+        Fingerprint(*recovered.value().engine, &recovered.value().sched),
+        Fingerprint(engine, &live_state));
+  }
+
+  // The policy was not reset, so the very next tick retries and succeeds.
+  sched.RunUntil(clock.Now() + kCanonicalBasePeriod);
+  EXPECT_EQ(manager->checkpoints_taken(), taken + 1);
+  EXPECT_EQ(manager->generation(), gen + 1);
+  EXPECT_EQ(CounterValue(reg, "persist.checkpoint_failures"), 1u);
+
+  live_state = sched.ExportState();
+  VirtualClock rclock(0);
+  auto recovered = Recover(dir, &rclock);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Fingerprint(*recovered.value().engine, &recovered.value().sched),
+            Fingerprint(engine, &live_state));
 }
 
 TEST(RetentionTest, PruneBoundsVersionsWhileRefreshesSucceed) {

@@ -11,176 +11,15 @@
 // cannot be read, 2 on usage errors, 3 on JSON syntax or schema violations —
 // the same code trace_dump and wal_dump use for malformed input, so CI can
 // treat 3 uniformly as "artifact corrupt".
-//
-// Like trace_dump, the JSON reader is a minimal recursive-descent parser so
-// the tool carries no third-party dependencies.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <utility>
-#include <vector>
+
+#include "json.h"
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> items;                           // arrays
-  std::vector<std::pair<std::string, JsonValue>> fields;  // objects
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == s_.size() || Fail("trailing garbage");
-  }
-
-  std::string error() const {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s at byte %zu", error_.c_str(), pos_);
-    return buf;
-  }
-
- private:
-  bool Fail(const char* msg) {
-    if (error_.empty()) error_ = msg;
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return Fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  // BenchJson only escapes quote/backslash/control bytes, so a plain escape
-  // passthrough is enough here (no \u decoding like trace_dump needs).
-  bool ParseString(std::string* out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return Fail("expected string");
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return Fail("truncated escape");
-        out->push_back(s_[pos_++]);
-      } else {
-        out->push_back(c);
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= s_.size()) return Fail("unexpected end of input");
-    char c = s_[pos_];
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        SkipWs();
-        if (pos_ >= s_.size() || s_[pos_++] != ':') return Fail("expected ':'");
-        SkipWs();
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->fields.emplace_back(std::move(key), std::move(v));
-        SkipWs();
-        if (pos_ >= s_.size()) return Fail("unterminated object");
-        char d = s_[pos_++];
-        if (d == '}') return true;
-        if (d != ',') return Fail("expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->items.push_back(std::move(v));
-        SkipWs();
-        if (pos_ >= s_.size()) return Fail("unterminated array");
-        char d = s_[pos_++];
-        if (d == ']') return true;
-        if (d != ',') return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == 't') {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = false;
-      return Literal("false");
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::Kind::kNull;
-      return Literal("null");
-    }
-    size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           ((s_[pos_] >= '0' && s_[pos_] <= '9') || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' ||
-            s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("unexpected character");
-    out->kind = JsonValue::Kind::kNumber;
-    out->num = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-  std::string error_;
-};
+using dvs::tools::JsonParser;
+using dvs::tools::JsonValue;
 
 bool IsString(const JsonValue* v) {
   return v != nullptr && v->kind == JsonValue::Kind::kString;
@@ -250,36 +89,5 @@ int Validate(const JsonValue& root, bool quiet) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quiet = false;
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (args.size() != 1) {
-    std::fprintf(stderr, "usage: bench_dump [--quiet] <BENCH_Exx.json>\n");
-    return 2;
-  }
-  std::FILE* f = std::fopen(args[0].c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_dump: cannot open '%s'\n", args[0].c_str());
-    return 1;
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  JsonValue root;
-  JsonParser parser(text);
-  if (!parser.Parse(&root)) {
-    std::fprintf(stderr, "bench_dump: malformed JSON: %s\n",
-                 parser.error().c_str());
-    return 3;
-  }
-  return Validate(root, quiet);
+  return dvs::tools::RunJsonValidator(argc, argv, "bench_dump", "<BENCH_Exx.json>", Validate);
 }
