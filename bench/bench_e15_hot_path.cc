@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(p.full_work) /
                       static_cast<double>(p.inc_work ? p.inc_work : 1));
 
-      report.AddPoint()
+      report.AddPoint("refresh")
           .Int("table_rows", rows)
           .Num("change_fraction", fraction)
           .Str("mode", "incremental")
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
                inc_s > 0 ? static_cast<double>(rows) / inc_s : 0)
           .Int("rows_processed", static_cast<int64_t>(p.inc_work))
           .Int("changes_applied", static_cast<int64_t>(p.changes_applied));
-      report.AddPoint()
+      report.AddPoint("refresh")
           .Int("table_rows", rows)
           .Num("change_fraction", fraction)
           .Str("mode", "full")

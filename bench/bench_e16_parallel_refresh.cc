@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
     std::printf("%8d %12.4f %16llu %10d %9.2fx\n", workers, r.wall_s,
                 static_cast<unsigned long long>(r.rows_processed),
                 r.refreshes, serial.wall_s / (r.wall_s > 0 ? r.wall_s : 1));
-    report.AddPoint()
+    report.AddPoint("parallel_refresh")
         .Int("workers", workers)
         .Num("refresh_wall_s", r.wall_s)
         .Int("rows_processed", static_cast<int64_t>(r.rows_processed))

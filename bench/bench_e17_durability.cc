@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     monotone = monotone && run.wal_records > prev_records;
     prev_records = run.wal_records;
 
-    json.AddPoint()
+    json.AddPoint("recovery")
         .Str("phase", "recovery")
         .Int("ticks", ticks)
         .Int("rows_total", static_cast<int64_t>(run.rows_total))
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
         double wall = timer.Seconds();
         uint64_t bytes =
             manager->stats().checkpoint_bytes.load() - bytes_before;
-        json.AddPoint()
+        json.AddPoint("checkpoint")
             .Str("phase", "checkpoint")
             .Int("checkpoints", kCheckpoints)
             .Int("rows_total", static_cast<int64_t>(run.rows_total))
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
 
     for (const WorkloadResult* run : {&off, &on}) {
       bool is_on = run == &on;
-      json.AddPoint()
+      json.AddPoint("retention")
           .Str("phase", "retention")
           .Bool("retention_on", is_on)
           .Int("ticks", tier.ticks)

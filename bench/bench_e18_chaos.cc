@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
     bench::Check(serial.consecutive_failures == 0 && !serial.suspended,
                  "transient chaos never advanced auto-suspend accounting");
 
-    json.AddPoint()
+    json.AddPoint("determinism")
         .Str("phase", "determinism")
         .Int("seed", static_cast<int64_t>(seed))
         .Int("fires", static_cast<int64_t>(serial.fires))
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
                  "stop");
     bench::Check(chaotic.transient_failures == 0,
                  "transient-failure counter reset by post-fault successes");
-    json.AddPoint()
+    json.AddPoint("convergence")
         .Str("phase", "convergence")
         .Int("failed_records", chaotic.failed)
         .Int("skipped_records", chaotic.skipped)
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
       bench::Check(LogBytes(sys.sched.log) == live.log_bytes,
                    "recovered refresh log carries the failed-retry record "
                    "byte-identically");
-      json.AddPoint()
+      json.AddPoint("crash_mid_retry")
           .Str("phase", "crash_mid_retry")
           .Int("workers", workers)
           .Int("wal_records_replayed",
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
           recovered.value().engine->catalog().Find("agg").value();
       bench::Check(agg->dt->state == DtState::kActive,
                    "recovered DT is active after replayed ALTER RESUME");
-      json.AddPoint()
+      json.AddPoint("auto_suspend")
           .Str("phase", "auto_suspend")
           .Int("workers", workers)
           .Bool("suspended", live.suspended)

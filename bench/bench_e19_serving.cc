@@ -247,13 +247,12 @@ int main(int argc, char** argv) {
       .Int("readers", kReaders)
       .Int("rounds", kRounds)
       .Bool("smoke", smoke);
-  bench::AddReadLatency(json.AddPoint().Str("kind", "scan"), read_p50_ms,
-                        read_p99_ms, qps)
+  bench::AddReadLatency(json.AddPoint("scan"), read_p50_ms, read_p99_ms, qps)
       .Int("queries", static_cast<int64_t>(ok))
       .Num("refresh_trough_p50_ms", trough_ms.P50())
       .Num("refresh_peak_p99_ms", peak_ms.P99());
-  bench::AddReadLatency(json.AddPoint().Str("kind", "point_lookup"),
-                        point_p50_ms, point_p99_ms, qps)
+  bench::AddReadLatency(json.AddPoint("point_lookup"), point_p50_ms,
+                        point_p99_ms, qps)
       .Int("cache_hits", static_cast<int64_t>(stats.cache_hits))
       .Int("cache_misses", static_cast<int64_t>(stats.cache_misses));
   json.WriteFile();

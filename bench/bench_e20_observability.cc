@@ -297,22 +297,20 @@ int main(int argc, char** argv) {
       .Int("rounds", base.rounds)
       .Int("workers_parallel", 4)
       .Bool("smoke", smoke);
-  json.AddPoint()
-      .Str("kind", "determinism")
+  json.AddPoint("determinism")
       .Bool("deterministic_metrics_match", metrics_match)
       .Bool("refresh_history_match", refresh_match)
       .Bool("graph_history_match", graph_match)
       .Int("refresh_history_rows",
            static_cast<int64_t>(r0.refresh_history_rows))
       .Int("rows_processed", r0.rows_processed);
-  json.AddPoint()
-      .Str("kind", "tracing")
+  json.AddPoint("tracing")
       .Int("trace_events", static_cast<int64_t>(recorder.size()))
       .Int("trace_dropped", static_cast<int64_t>(recorder.dropped()))
       .Int("spans_offered", static_cast<int64_t>(recorder.offered()))
       .Num("span_cost_disarmed_ns", span_cost_ns)
       .Num("overhead_est_pct", overhead_pct);
-  bench::AddReadLatency(json.AddPoint().Str("kind", "serve_reads"),
+  bench::AddReadLatency(json.AddPoint("serve_reads"),
                         r4.read_p50_ms, r4.read_p99_ms, r4.qps)
       .Int("reads", static_cast<int64_t>(r4.reads_ok));
   json.WriteFile();

@@ -4,7 +4,7 @@
 //
 //   1. Determinism: every profile counter except wall_ns — per-operator
 //      rows_in/rows_out/batches, join-cache and partition-batch-cache
-//      hits/misses, sel_memo hits, vector bails, row redos — derives only
+//      hits/misses, sel_memo hits, row redos — derives only
 //      from virtual-time work, so an armed fleet run at worker_threads = 0
 //      and 4 must render byte-identical REFRESH_PROFILE output (wall_ns
 //      projected away in SQL, exactly how a deterministic consumer would)
@@ -65,7 +65,7 @@ const char kDeterministicColumns[] =
     "name, refresh_ts, action, outcome, operator, op_tag, rows_in, rows_out, "
     "batches, join_build_hits, join_build_misses, join_probe_hits, "
     "join_probe_misses, batch_cache_hits, batch_cache_misses, sel_memo_hits, "
-    "vector_bails, row_redos";
+    "row_redos";
 
 std::string RenderResult(const QueryResult& qr) {
   std::string out = qr.schema.ToString();
@@ -264,21 +264,18 @@ int main(int argc, char** argv) {
       .Int("rounds", base.rounds)
       .Int("workers_parallel", 4)
       .Bool("smoke", smoke);
-  json.AddPoint()
-      .Str("kind", "determinism")
+  json.AddPoint("determinism")
       .Bool("profile_render_match", profile_match)
       .Bool("deterministic_metrics_match", metrics_match)
       .Int("profile_rows", static_cast<int64_t>(r0.profile_rows))
       .Int("profiles_retained", static_cast<int64_t>(r0.profiles_retained))
       .Int("rows_processed", r0.rows_processed);
-  json.AddPoint()
-      .Str("kind", "overhead")
+  json.AddPoint("overhead")
       .Int("profile_sites", static_cast<int64_t>(r4.profile_sites))
       .Num("check_cost_disarmed_ns", check_cost_ns)
       .Num("overhead_est_pct", overhead_pct);
   for (size_t i = 0; i < by_wall.size() && i < 3; ++i) {
-    json.AddPoint()
-        .Str("kind", "wall_breakdown")
+    json.AddPoint("wall_breakdown")
         .Str("operator", by_wall[i].first)
         .Num("wall_ms", by_wall[i].second / 1e6);
   }

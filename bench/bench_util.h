@@ -170,11 +170,12 @@ class WallTimer {
 ///     "experiment": "E15",
 ///     "description": "...",
 ///     "meta": { "<key>": <value>, ... },
-///     "points": [ { "<key>": <value>, ... }, ... ]
+///     "points": [ { "kind": "<kind>", "<key>": <value>, ... }, ... ]
 ///   }
 ///
 /// Values are JSON numbers, strings, or booleans; each point is one
-/// measured configuration.
+/// measured configuration, and its string "kind" names what it measures
+/// (tools/bench_dump rejects a point without one).
 class BenchJson {
  public:
   /// One flat JSON object (a metadata block or a data point).
@@ -232,9 +233,10 @@ class BenchJson {
 
   Obj& meta() { return meta_; }
 
-  Obj& AddPoint() {
+  /// Appends a point whose first field is "kind": `kind`.
+  Obj& AddPoint(const std::string& kind) {
     points_.emplace_back();
-    return points_.back();
+    return points_.back().Str("kind", kind);
   }
 
   /// Writes BENCH_<experiment>.json into the working directory; returns the

@@ -104,7 +104,6 @@ Result<QueryResult> DvsEngine::ExecuteSelect(const sql::SelectStmt& stmt) {
   ExecContext ctx;
   ctx.resolve_scan = refresh_.MakeResolver(now, /*exact_dt=*/false);
   ctx.eval.current_time = now;
-  ctx.force_row_path = force_row_path_;
   DVS_ASSIGN_OR_RETURN(std::vector<Row> rows,
                        ExecutePlanRows(*bound.plan, ctx));
 
@@ -157,7 +156,6 @@ Result<QueryResult> DvsEngine::ExecuteExplain(const sql::ExplainStmt& stmt) {
   ExecContext ctx;
   ctx.resolve_scan = refresh_.MakeResolver(now, /*exact_dt=*/false);
   ctx.eval.current_time = now;
-  ctx.force_row_path = force_row_path_;
   ctx.profile = &sink;
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows, ExecutePlan(*bound.plan, ctx));
   for (std::string& line :

@@ -15,16 +15,8 @@ namespace {
 
 Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env);
 
-/// Columnar bail-out accounting: the always-on global counter plus the
-/// per-node profile slot when a sink is attached.
-void CountBail(const BatchExecEnv& env, const PlanNode& n) {
-  obs::ExecCounters::Instance().vector_bails += 1;
-  if (env.profile != nullptr) env.profile->Node(n.node_tag)->vector_bails += 1;
-}
-
 /// Error-driven row-wise redo accounting (vectorized evaluation failed and
-/// the scalar path reruns the work so error selection matches the row
-/// engine).
+/// the scalar path reruns the work so error selection follows row order).
 void CountRedo(const BatchExecEnv& env, const PlanNode& n) {
   obs::ExecCounters::Instance().row_redos += 1;
   if (env.profile != nullptr) env.profile->Node(n.node_tag)->row_redos += 1;
@@ -32,23 +24,33 @@ void CountRedo(const BatchExecEnv& env, const PlanNode& n) {
 
 // ---- Conversion helpers ----
 
-bool UniformWidth(const std::vector<IdRow>& rows) {
-  if (rows.empty()) return true;
-  const size_t w = rows[0].values.size();
-  for (const IdRow& r : rows) {
-    if (r.values.size() != w) return false;
-  }
-  return true;
+Status LeafWidthMismatch(const PlanNode& n, size_t width) {
+  return FailedPrecondition(
+      std::string(PlanKindName(n.kind)) +
+      (n.table_name.empty() ? "" : " of '" + n.table_name + "'") +
+      " produced rows of width " + std::to_string(width) +
+      ", but its schema has " + std::to_string(n.output_schema.size()) +
+      " columns");
 }
 
-/// Row->batch adapter that bails (instead of guessing) on ragged rows.
-Result<BatchVector> RowsToBatchesChecked(const std::vector<IdRow>& rows,
-                                         const BatchExecEnv& env,
-                                         const PlanNode& n) {
-  if (!UniformWidth(rows)) {
-    env.bail = true;
-    CountBail(env, n);
-    return BatchVector{};
+/// Leaf batches must have the leaf's schema width: every operator above
+/// relies on it (batches carry no per-row width).
+Status CheckLeafWidth(const PlanNode& n, const BatchVector& batches) {
+  for (const BatchPtr& b : batches) {
+    if (b->width() != n.output_schema.size()) {
+      return LeafWidthMismatch(n, b->width());
+    }
+  }
+  return OkStatus();
+}
+
+/// Row->batch adapter for leaves (row scan resolvers, inline values).
+Result<BatchVector> LeafRowsToBatches(const PlanNode& n,
+                                      const std::vector<IdRow>& rows) {
+  for (const IdRow& r : rows) {
+    if (r.values.size() != n.output_schema.size()) {
+      return LeafWidthMismatch(n, r.values.size());
+    }
   }
   return RowsToBatches(rows);
 }
@@ -57,13 +59,11 @@ Result<BatchVector> RowsToBatchesChecked(const std::vector<IdRow>& rows,
 /// batch implementation). The kernel's output is re-batched; charging stays
 /// per-node via the ExecB wrapper.
 template <typename Kernel>
-Result<BatchVector> RowKernelFallback(const PlanNode& n,
-                                      const BatchExecEnv& env,
-                                      Kernel&& kernel) {
+Result<BatchVector> RunRowKernel(const PlanNode& n, const BatchExecEnv& env,
+                                 Kernel&& kernel) {
   DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
   DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out, kernel(BatchesToRows(in)));
-  return RowsToBatchesChecked(out, env, n);
+  return RowsToBatches(out);
 }
 
 // ---- Filter ----
@@ -82,7 +82,6 @@ Result<Sel> RedoFilterRowwise(const PlanNode& n, const ColumnBatch& batch,
 
 Result<BatchVector> ExecFilterB(const PlanNode& n, const BatchExecEnv& env) {
   DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
   BatchVector out;
   out.reserve(in.size());
   for (const BatchPtr& batch : in) {
@@ -106,8 +105,8 @@ Result<BatchVector> ExecFilterB(const PlanNode& n, const BatchExecEnv& env) {
       }
     } else {
       // Vector evaluation failed somewhere in this batch: redo it row-wise
-      // so the surfaced error (if the scalar path errors at all) is the row
-      // engine's, for the row engine's row.
+      // so the surfaced error (if the scalar path errors at all) is the
+      // scalar one, for the first failing row.
       CountRedo(env, n);
       DVS_ASSIGN_OR_RETURN(sel, RedoFilterRowwise(n, *batch, env.eval));
     }
@@ -144,7 +143,6 @@ Result<BatchPtr> RedoProjectRowwise(const PlanNode& n,
 
 Result<BatchVector> ExecProjectB(const PlanNode& n, const BatchExecEnv& env) {
   DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
   BatchVector out;
   out.reserve(in.size());
   for (const BatchPtr& batch : in) {
@@ -179,7 +177,6 @@ Result<BatchVector> ExecUnionAllB(const PlanNode& n, const BatchExecEnv& env) {
   BatchVector out;
   for (size_t b = 0; b < n.children.size(); ++b) {
     DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[b], env));
-    if (env.bail) return BatchVector{};
     for (const BatchPtr& batch : in) {
       auto ob = std::make_shared<ColumnBatch>();
       ob->rows = batch->rows;
@@ -226,34 +223,15 @@ Result<BatchVector> RowFallbackJoin(const PlanNode& n, const BatchVector& lb,
   DVS_ASSIGN_OR_RETURN(
       std::vector<IdRow> out,
       ComputeJoin(n, BatchesToRows(lb), BatchesToRows(rb), env.eval));
-  return RowsToBatchesChecked(out, env, n);
+  return RowsToBatches(out);
 }
 
 Result<BatchVector> ExecJoinB(const PlanNode& n, const BatchExecEnv& env) {
   DVS_ASSIGN_OR_RETURN(BatchVector left, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
   DVS_ASSIGN_OR_RETURN(BatchVector right, ExecB(*n.children[1], env));
-  if (env.bail) return BatchVector{};
 
   const size_t lw = n.children[0]->output_schema.size();
   const size_t rw = n.children[1]->output_schema.size();
-  // The gather kernels need the schema widths to hold for every batch
-  // (the row engine concatenates whatever widths rows actually have); bail
-  // to the row path on mismatch rather than diverge.
-  for (const BatchPtr& b : left) {
-    if (b->width() != lw) {
-      env.bail = true;
-      CountBail(env, n);
-      return BatchVector{};
-    }
-  }
-  for (const BatchPtr& b : right) {
-    if (b->width() != rw) {
-      env.bail = true;
-      CountBail(env, n);
-      return BatchVector{};
-    }
-  }
 
   const bool cacheable =
       env.memo != nullptr &&
@@ -441,7 +419,7 @@ struct AggAccum {
   Value best;
   // DISTINCT state (first-occurrence order is preserved by folding online)
   std::set<Value> uniq;
-  // First error the row engine would surface for this (group, agg); held
+  // First error the row kernel would surface for this (group, agg); held
   // back until emit time so error selection matches the sorted-group,
   // agg-index, member-order discipline of ComputeAggregates.
   Status err = OkStatus();
@@ -528,7 +506,6 @@ Value FinalizeAgg(const Expr& agg, const AggAccum& a, size_t members) {
 Result<BatchVector> ExecAggregateB(const PlanNode& n,
                                    const BatchExecEnv& env) {
   DVS_ASSIGN_OR_RETURN(BatchVector in, ExecB(*n.children[0], env));
-  if (env.bail) return BatchVector{};
   // Full execution always forces the scalar-aggregation global group.
   return ComputeAggregateBatches(n, in, env, /*force_global_group=*/true);
 }
@@ -542,7 +519,7 @@ Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
     DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out,
                          ComputeAggregateRows(n, BatchesToRows(in), env.eval,
                                               force_global_group));
-    return RowsToBatchesChecked(out, env, n);
+    return RowsToBatches(out);
   };
 
   // Group keys and aggregate argument columns, one vector pass per batch.
@@ -664,20 +641,22 @@ Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
     switch (n.kind) {
       case PlanKind::kValues: {
         DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows, ComputeValuesRows(n));
-        return RowsToBatchesChecked(rows, env, n);
+        return LeafRowsToBatches(n, rows);
       }
       case PlanKind::kScan: {
-        if (env.resolve_scan_batches) {
-          // Publish this scan's profile slot so ScanBatchesAt (which has no
-          // plan context) can attribute partition-cache hits per node.
-          obs::ScopedScanTarget scan_attr(
-              env.profile != nullptr ? env.profile->Node(n.node_tag)
-                                     : nullptr);
-          return env.resolve_scan_batches(n.table_id);
+        if (!env.resolve_scan_batches) {
+          DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows,
+                               env.resolve_scan(n.table_id));
+          return LeafRowsToBatches(n, rows);
         }
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> rows,
-                             env.resolve_scan(n.table_id));
-        return RowsToBatchesChecked(rows, env, n);
+        // Publish this scan's profile slot so ScanBatchesAt (which has no
+        // plan context) can attribute partition-cache hits per node.
+        obs::ScopedScanTarget scan_attr(
+            env.profile != nullptr ? env.profile->Node(n.node_tag) : nullptr);
+        DVS_ASSIGN_OR_RETURN(BatchVector batches,
+                             env.resolve_scan_batches(n.table_id));
+        DVS_RETURN_IF_ERROR(CheckLeafWidth(n, batches));
+        return batches;
       }
       case PlanKind::kFilter:
         return ExecFilterB(n, env);
@@ -689,44 +668,32 @@ Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
         return ExecUnionAllB(n, env);
       case PlanKind::kAggregate:
         return ExecAggregateB(n, env);
+      // Row-only operators: distinct and window, plus flatten, order-by
+      // and limit, which sit at plan roots (presentation) or in cold paths.
       case PlanKind::kDistinct:
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows) {
+        return RunRowKernel(n, env, [&](std::vector<IdRow> rows) {
           return ComputeDistinctRows(n, rows, env.eval);
         });
       case PlanKind::kWindow:
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows) {
+        return RunRowKernel(n, env, [&](std::vector<IdRow> rows) {
           return ComputeWindowRows(n, rows, env.eval);
         });
       case PlanKind::kFlatten:
+        return RunRowKernel(n, env, [&](std::vector<IdRow> rows) {
+          return ComputeFlattenRows(n, rows, env.eval);
+        });
       case PlanKind::kOrderBy:
+        return RunRowKernel(n, env, [&](std::vector<IdRow> rows) {
+          return ComputeOrderByRows(n, std::move(rows), env.eval);
+        });
       case PlanKind::kLimit:
-        // Row-only operators: these sit at plan roots (presentation) or in
-        // cold paths; materialize and reuse the row implementations.
-        return RowKernelFallback(n, env, [&](std::vector<IdRow> rows)
-                                     -> Result<std::vector<IdRow>> {
-          ExecContext rctx;
-          rctx.resolve_scan = [&rows](ObjectId) -> Result<std::vector<IdRow>> {
-            return rows;
-          };
-          rctx.eval = env.eval;
-          rctx.force_row_path = true;
-          // Rebuild the node over a synthetic scan of the materialized
-          // child; only this node executes (children already ran).
-          PlanNode shim = n;
-          auto scan = std::make_shared<PlanNode>();
-          scan->kind = PlanKind::kScan;
-          scan->output_schema = n.children[0]->output_schema;
-          shim.children = {scan};
-          DVS_ASSIGN_OR_RETURN(std::vector<IdRow> out,
-                               ExecutePlan(shim, rctx));
-          // The shim charged the synthetic scan + this node into rctx; only
-          // this node's output is the real charge (the wrapper adds it).
-          return out;
+        return RunRowKernel(n, env, [&](std::vector<IdRow> rows)
+                                        -> Result<std::vector<IdRow>> {
+          return ComputeLimitRows(n, std::move(rows));
         });
     }
     return Internal("unhandled plan kind");
   }();
-  if (env.bail) return BatchVector{};
   if (result.ok()) {
     const uint64_t rows = BatchRowCount(result.value());
     env.rows_processed += rows;
@@ -745,33 +712,6 @@ Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
 }
 
 }  // namespace
-
-bool PlanBatchSafe(const PlanNode& plan) {
-  bool safe = true;
-  auto check = [&safe](const ExprPtr& e) {
-    if (!e || !safe) return;
-    Result<Volatility> v = ExprVolatility(e);
-    if (!v.ok() || v.value() == Volatility::kVolatile) safe = false;
-  };
-  std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
-    if (!safe) return;
-    check(n.predicate);
-    for (const ExprPtr& e : n.exprs) check(e);
-    for (const ExprPtr& e : n.left_keys) check(e);
-    for (const ExprPtr& e : n.right_keys) check(e);
-    check(n.residual);
-    for (const ExprPtr& e : n.group_by) check(e);
-    for (const ExprPtr& e : n.aggregates) check(e);
-    for (const ExprPtr& e : n.partition_by) check(e);
-    for (const SortKey& sk : n.order_by) check(sk.expr);
-    for (const ExprPtr& e : n.window_calls) check(e);
-    check(n.flatten_expr);
-    for (const SortKey& sk : n.sort_keys) check(sk.expr);
-    for (const PlanPtr& c : n.children) walk(*c);
-  };
-  walk(plan);
-  return safe;
-}
 
 Result<BatchVector> ExecutePlanBatches(const PlanNode& plan,
                                        const BatchExecEnv& env) {

@@ -1,30 +1,29 @@
-// Batch-at-a-time plan execution.
+// Batch-at-a-time plan execution: the one execution engine.
 //
-// ExecutePlanBatches mirrors the row executor node for node, but moves data
-// as ColumnBatches: scans adapt partitions to batches, filters compact
+// ExecutePlanBatches (and ExecutePlan on top of it, exec/executor.h) moves
+// data as ColumnBatches: scans adapt partitions to batches, filters compact
 // selection vectors instead of copying rows, joins build/probe the HashedKey
 // digest infrastructure a batch of keys at a time, and aggregation
 // accumulates online over contiguous argument columns. Output rows, row
 // ids, emission order, error selection and the rows_processed work metric
-// are bit-identical to the row engine:
+// match the row-at-a-time reference interpreter kept with the tests:
 //
 //  - all value semantics route through the shared scalar kernels
 //    (ApplyBinaryOp / ApplyUnaryOp / CastValue / function registry),
 //  - any vectorized evaluation error triggers a row-wise redo of the batch
-//    through the scalar code path, so the surfaced error (and which row
-//    "wins") always matches the row engine,
+//    (filter, project) or of the node (join, aggregate) through the scalar
+//    code path, so the surfaced error — and which row "wins" — is the one
+//    row-order evaluation would raise,
 //  - operators with no batch kernel (distinct, window, flatten, order-by,
-//    limit) materialize, run the shared row kernel, and re-batch,
-//  - per-node work accounting charges exactly the rows the row engine's
-//    Exec wrapper would.
+//    limit) materialize, run their row kernel (exec/executor.h), and
+//    re-batch,
+//  - every operator charges its output rows to rows_processed.
 //
-// The engine bails out (sets BatchExecEnv::bail) instead of guessing when
-// inputs violate columnar assumptions (ragged row widths); the caller then
-// reruns the row path from scratch, charging fresh.
-//
-// Routing lives in ExecutePlan: batch execution is used when
-// PlanBatchSafe() holds (no volatile functions — vector evaluation reorders
-// rng draws) and the context does not force the row path.
+// Every batch an operator emits has its node's schema width. Storage
+// rejects inserts of any other width (VersionedTable::ValidateChanges), and
+// a scan whose source rows do not match the scan node's schema (e.g. a
+// time-travel read of a DT version written before a §5.4 rebind changed
+// the DT's schema) fails with FailedPrecondition.
 
 #ifndef DVS_EXEC_BATCH_EXEC_H_
 #define DVS_EXEC_BATCH_EXEC_H_
@@ -71,13 +70,10 @@ struct BatchMemo {
 };
 
 struct BatchExecEnv {
-  ScanResolver resolve_scan;                // row fallback for scans
+  ScanResolver resolve_scan;                // used when no batch source
   BatchScanResolver resolve_scan_batches;   // preferred scan source
   EvalContext eval;
   mutable uint64_t rows_processed = 0;
-  /// Set when the engine hit a columnar-assumption violation; the result is
-  /// meaningless and the caller must rerun the row path.
-  mutable bool bail = false;
   /// Optional cross-execution caches (differentiator refreshes).
   BatchMemo* memo = nullptr;
   /// Optional per-operator profile collector (obs/profile.h). Null when
@@ -85,13 +81,7 @@ struct BatchExecEnv {
   obs::ProfileSink* profile = nullptr;
 };
 
-/// True if every expression in the plan tree is batch-evaluable: no
-/// volatile functions anywhere (unknown functions also route to the row
-/// path so binding errors surface from the scalar engine).
-bool PlanBatchSafe(const PlanNode& plan);
-
-/// Executes the plan over column batches. On success (and !env.bail) the
-/// concatenated batches equal the row engine's output exactly.
+/// Executes the plan over column batches, charging env.rows_processed.
 Result<BatchVector> ExecutePlanBatches(const PlanNode& plan,
                                        const BatchExecEnv& env);
 

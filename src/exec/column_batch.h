@@ -1,8 +1,8 @@
 // Columnar batch representation for the vectorized execution engine.
 //
 // A ColumnBatch is a fixed-size horizontal slice of a relation: one
-// BatchColumn per output column plus the per-row RowId vector the row engine
-// carries in IdRow. Columns are typed lanes of contiguous storage:
+// BatchColumn per output column plus the per-row RowId vector that rows
+// carry in IdRow. Columns are typed lanes of contiguous storage:
 //
 //   kI64  — int64 payloads for BOOL / INT64 / TIMESTAMP values (the element
 //           tag records which; BOOL stores 0/1),
@@ -183,7 +183,8 @@ size_t BatchRowCount(const BatchVector& batches);
 /// Materialize logical row `i` of `batch` (values only, not the id).
 Row MaterializeRow(const ColumnBatch& batch, size_t i);
 
-/// Chunk rows into batches of kBatchSize.
+/// Chunk rows into batches of kBatchSize. Every row must have the width of
+/// the first.
 BatchVector RowsToBatches(const std::vector<IdRow>& rows);
 
 /// Flatten batches back to rows, preserving order and ids.

@@ -2,78 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <set>
 #include <unordered_map>
 
 #include "exec/batch_exec.h"
 #include "exec/row_id.h"
-#include "obs/profile.h"
 
 namespace dvs {
 
 namespace {
 
-Result<std::vector<IdRow>> Exec(const PlanNode& n, const ExecContext& ctx);
-
-Result<std::vector<IdRow>> ExecFilter(const PlanNode& n,
-                                      const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-  std::vector<IdRow> out;
-  out.reserve(in.size());
-  for (IdRow& r : in) {
-    DVS_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*n.predicate, r.values, ctx.eval));
-    if (pass) out.push_back(std::move(r));
-  }
-  return out;
-}
-
-Result<std::vector<IdRow>> ExecProject(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-  std::vector<IdRow> out;
-  out.reserve(in.size());
-  for (const IdRow& r : in) {
-    Row vals;
-    vals.reserve(n.exprs.size());
-    for (const ExprPtr& e : n.exprs) {
-      DVS_ASSIGN_OR_RETURN(Value v, Eval(*e, r.values, ctx.eval));
-      vals.push_back(std::move(v));
-    }
-    out.push_back({r.id, std::move(vals)});
-  }
-  return out;
-}
-
-Row ConcatRows(const Row& l, const Row& r) {
-  Row out;
-  out.reserve(l.size() + r.size());
-  out.insert(out.end(), l.begin(), l.end());
-  out.insert(out.end(), r.begin(), r.end());
-  return out;
-}
-
 Row NullRow(size_t n) { return Row(n, Value::Null()); }
-
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-Result<std::vector<IdRow>> ExecUnionAll(const PlanNode& n,
-                                        const ExecContext& ctx) {
-  std::vector<IdRow> out;
-  for (size_t b = 0; b < n.children.size(); ++b) {
-    DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[b], ctx));
-    out.reserve(out.size() + in.size());
-    for (IdRow& r : in) {
-      out.push_back({rowid::Union(n.node_tag, b, r.id), std::move(r.values)});
-    }
-  }
-  return out;
-}
 
 // Comparator over precomputed sort keys, with row id as the repeatable
 // tie-break (the paper's "ties in ORDER BY are broken repeatably").
@@ -92,12 +31,23 @@ bool SortLess(const SortEntry& a, const SortEntry& b,
   return a.id < b.id;
 }
 
-Result<std::vector<IdRow>> ExecFlatten(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
+}  // namespace
+
+Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n) {
   std::vector<IdRow> out;
-  for (const IdRow& r : in) {
-    DVS_ASSIGN_OR_RETURN(Value arr, Eval(*n.flatten_expr, r.values, ctx.eval));
+  out.reserve(n.values_rows.size());
+  for (size_t i = 0; i < n.values_rows.size(); ++i) {
+    out.push_back({rowid::Values(n.node_tag, i), n.values_rows[i]});
+  }
+  return out;
+}
+
+Result<std::vector<IdRow>> ComputeFlattenRows(const PlanNode& n,
+                                              const std::vector<IdRow>& input,
+                                              const EvalContext& ctx) {
+  std::vector<IdRow> out;
+  for (const IdRow& r : input) {
+    DVS_ASSIGN_OR_RETURN(Value arr, Eval(*n.flatten_expr, r.values, ctx));
     if (arr.is_null()) continue;  // FLATTEN drops NULL inputs.
     if (arr.type() != DataType::kArray) {
       return UserError("FLATTEN input is not an array");
@@ -115,131 +65,48 @@ Result<std::vector<IdRow>> ExecFlatten(const PlanNode& n,
   return out;
 }
 
-Result<std::vector<IdRow>> ExecOrderBy(const PlanNode& n,
-                                       const ExecContext& ctx) {
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
+Result<std::vector<IdRow>> ComputeOrderByRows(const PlanNode& n,
+                                              std::vector<IdRow> input,
+                                              const EvalContext& ctx) {
   std::vector<SortEntry> entries;
-  entries.reserve(in.size());
-  for (size_t i = 0; i < in.size(); ++i) {
+  entries.reserve(input.size());
+  for (size_t i = 0; i < input.size(); ++i) {
     Row keys;
     keys.reserve(n.sort_keys.size());
     for (const SortKey& sk : n.sort_keys) {
-      DVS_ASSIGN_OR_RETURN(Value v, Eval(*sk.expr, in[i].values, ctx.eval));
+      DVS_ASSIGN_OR_RETURN(Value v, Eval(*sk.expr, input[i].values, ctx));
       keys.push_back(std::move(v));
     }
-    entries.push_back({std::move(keys), in[i].id, i});
+    entries.push_back({std::move(keys), input[i].id, i});
   }
   std::sort(entries.begin(), entries.end(),
             [&](const SortEntry& a, const SortEntry& b) {
               return SortLess(a, b, n.sort_keys);
             });
   std::vector<IdRow> out;
-  out.reserve(in.size());
-  for (const SortEntry& e : entries) out.push_back(std::move(in[e.index]));
+  out.reserve(input.size());
+  for (const SortEntry& e : entries) out.push_back(std::move(input[e.index]));
   return out;
 }
 
-Result<std::vector<IdRow>> Exec(const PlanNode& n, const ExecContext& ctx) {
-  // Profile timing is taken only when a sink is attached; the disarmed cost
-  // of the hook is this one null check.
-  std::chrono::steady_clock::time_point prof_start;
-  if (ctx.profile != nullptr) prof_start = std::chrono::steady_clock::now();
-  Result<std::vector<IdRow>> result = [&]() -> Result<std::vector<IdRow>> {
-    switch (n.kind) {
-      case PlanKind::kScan:
-        return ctx.resolve_scan(n.table_id);
-      case PlanKind::kValues:
-        return ComputeValuesRows(n);
-      case PlanKind::kFilter:
-        return ExecFilter(n, ctx);
-      case PlanKind::kProject:
-        return ExecProject(n, ctx);
-      case PlanKind::kJoin: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> left, Exec(*n.children[0], ctx));
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> right, Exec(*n.children[1], ctx));
-        return ComputeJoin(n, left, right, ctx.eval);
-      }
-      case PlanKind::kUnionAll:
-        return ExecUnionAll(n, ctx);
-      case PlanKind::kAggregate: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeAggregateRows(n, in, ctx.eval,
-                                    /*force_global_group=*/true);
-      }
-      case PlanKind::kDistinct: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeDistinctRows(n, in, ctx.eval);
-      }
-      case PlanKind::kWindow: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        return ComputeWindowRows(n, in, ctx.eval);
-      }
-      case PlanKind::kFlatten:
-        return ExecFlatten(n, ctx);
-      case PlanKind::kOrderBy:
-        return ExecOrderBy(n, ctx);
-      case PlanKind::kLimit: {
-        DVS_ASSIGN_OR_RETURN(std::vector<IdRow> in, Exec(*n.children[0], ctx));
-        if (n.limit >= 0 && static_cast<size_t>(n.limit) < in.size()) {
-          in.resize(static_cast<size_t>(n.limit));
-        }
-        return in;
-      }
-    }
-    return Internal("unhandled plan kind");
-  }();
-  if (result.ok()) {
-    ctx.rows_processed += result.value().size();
-    if (ctx.profile != nullptr) {
-      obs::OpStats* s = ctx.profile->Node(n.node_tag);
-      s->rows_out += result.value().size();
-      s->wall_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - prof_start)
-              .count());
-    }
+std::vector<IdRow> ComputeLimitRows(const PlanNode& n,
+                                    std::vector<IdRow> input) {
+  if (n.limit >= 0 && static_cast<size_t>(n.limit) < input.size()) {
+    input.resize(static_cast<size_t>(n.limit));
   }
-  return result;
-}
-
-}  // namespace
-
-Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n) {
-  std::vector<IdRow> out;
-  out.reserve(n.values_rows.size());
-  for (size_t i = 0; i < n.values_rows.size(); ++i) {
-    out.push_back({rowid::Values(n.node_tag, i), n.values_rows[i]});
-  }
-  return out;
+  return input;
 }
 
 Result<std::vector<IdRow>> ExecutePlan(const PlanNode& plan,
                                        const ExecContext& ctx) {
-  if (!ctx.force_row_path && PlanBatchSafe(plan)) {
-    BatchExecEnv env;
-    env.resolve_scan = ctx.resolve_scan;
-    env.resolve_scan_batches = ctx.resolve_scan_batches;
-    env.eval = ctx.eval;
-    // The batch attempt profiles into a scratch sink, merged only when the
-    // attempt stands — a bail reruns the row path charging fresh, and the
-    // profile must charge fresh with it.
-    obs::ProfileSink scratch;
-    if (ctx.profile != nullptr) env.profile = &scratch;
-    Result<BatchVector> result = ExecutePlanBatches(plan, env);
-    if (!env.bail) {
-      if (!result.ok()) return result.status();
-      ctx.rows_processed += env.rows_processed;
-      if (ctx.profile != nullptr) ctx.profile->MergeFrom(scratch);
-      return BatchesToRows(result.value());
-    }
-    // Columnar assumptions violated (e.g. ragged row widths): rerun the row
-    // interpreter from scratch, charging fresh — the scratch sink's partial
-    // counts are dropped with it, and the bail is charged to the plan root.
-    if (ctx.profile != nullptr) {
-      ctx.profile->Node(plan.node_tag)->vector_bails += 1;
-    }
-  }
-  return Exec(plan, ctx);
+  BatchExecEnv env;
+  env.resolve_scan = ctx.resolve_scan;
+  env.resolve_scan_batches = ctx.resolve_scan_batches;
+  env.eval = ctx.eval;
+  env.profile = ctx.profile;
+  DVS_ASSIGN_OR_RETURN(BatchVector batches, ExecutePlanBatches(plan, env));
+  ctx.rows_processed += env.rows_processed;
+  return BatchesToRows(batches);
 }
 
 Result<std::vector<Row>> ExecutePlanRows(const PlanNode& plan,
@@ -290,6 +157,14 @@ Status KeyExtractor::Extract(const Row& row) {
   }
   digest_ = HashRow(scratch_);
   return OkStatus();
+}
+
+Row ConcatRows(const Row& l, const Row& r) {
+  Row out;
+  out.reserve(l.size() + r.size());
+  out.insert(out.end(), l.begin(), l.end());
+  out.insert(out.end(), r.begin(), r.end());
+  return out;
 }
 
 Result<std::vector<IdRow>> ComputeJoin(const PlanNode& n,

@@ -1,10 +1,14 @@
 // Full (non-incremental) plan execution at a snapshot.
 //
-// The executor is deliberately interpreter-style (DESIGN.md §5 documents the
-// substitution for Snowflake's vectorized push-based engine). Scans are
-// resolved through a caller-provided callback so the executor has no
-// dependency on the catalog/storage wiring; the dt module supplies resolvers
-// that read the correct table versions for DVS.
+// ExecutePlan runs every plan on the columnar batch engine
+// (exec/batch_exec.h). Scans are resolved through caller-provided callbacks
+// so the executor has no dependency on the catalog/storage wiring; the dt
+// module supplies resolvers that read the correct table versions for DVS.
+// This header also exports the row kernels — join, aggregate, distinct,
+// window, flatten, order-by, limit — that the batch engine runs for
+// operators without a columnar kernel (and to redo a batch whose vectorized
+// evaluation failed) and that the differentiator reruns over restricted
+// inputs.
 //
 // Every output row carries its algebraic row id (exec/row_id.h); full
 // execution and incremental refresh agree on identities.
@@ -34,25 +38,21 @@ using ScanResolver =
 
 struct ExecContext {
   ScanResolver resolve_scan;
-  /// Optional columnar scan source (exec/batch_exec.h). When set and the
-  /// plan is batch-safe, ExecutePlan runs the vectorized engine; scans that
-  /// only have a row resolver are adapted per batch.
+  /// Optional columnar scan source (exec/batch_exec.h), preferred over
+  /// resolve_scan when set; scans that only have a row resolver are adapted
+  /// per batch.
   BatchScanResolver resolve_scan_batches;
   EvalContext eval;
   /// Work accounting: rows produced by all operators, used by the cost
   /// model. Mutated during execution.
   mutable uint64_t rows_processed = 0;
-  /// Forces the row-at-a-time interpreter even for batch-safe plans (the
-  /// equivalence tests use it as the oracle).
-  bool force_row_path = false;
   /// Optional per-operator profile collector (obs/profile.h). Null when
   /// profiling is disarmed — every hook site then costs one pointer check.
   obs::ProfileSink* profile = nullptr;
 };
 
-/// Executes the plan, returning all output rows with ids. Batch-safe plans
-/// (exec/batch_exec.h) run on the columnar engine; results, row ids and
-/// rows_processed are identical either way.
+/// Executes the plan on the columnar engine, returning all output rows with
+/// ids. rows_processed is charged only when execution succeeds.
 Result<std::vector<IdRow>> ExecutePlan(const PlanNode& plan,
                                        const ExecContext& ctx);
 
@@ -106,6 +106,9 @@ Result<Row> ComputeAggregates(const std::vector<ExprPtr>& aggregates,
 // inputs (affected keys / partitions); sharing the kernels with full
 // execution is what guarantees identical results and row ids.
 
+/// `l` followed by `r` (the joined row layout).
+Row ConcatRows(const Row& l, const Row& r);
+
 /// Join kernel: joins materialized left/right inputs per `n` (a kJoin node).
 Result<std::vector<IdRow>> ComputeJoin(const PlanNode& n,
                                        const std::vector<IdRow>& left,
@@ -131,8 +134,25 @@ Result<std::vector<IdRow>> ComputeDistinctRows(const PlanNode& n,
                                                const EvalContext& ctx);
 
 /// Values kernel (n is a kValues node): materializes the inline rows with
-/// ids derived from (node_tag, index). Shared by the row and batch engines.
+/// ids derived from (node_tag, index).
 Result<std::vector<IdRow>> ComputeValuesRows(const PlanNode& n);
+
+/// Flatten kernel (n is a kFlatten node): one row per array element of
+/// n.flatten_expr, extended with (index, value); NULL inputs are dropped.
+Result<std::vector<IdRow>> ComputeFlattenRows(const PlanNode& n,
+                                              const std::vector<IdRow>& input,
+                                              const EvalContext& ctx);
+
+/// Order-by kernel (n is a kOrderBy node): sorts by n.sort_keys, row id as
+/// the repeatable tie-break.
+Result<std::vector<IdRow>> ComputeOrderByRows(const PlanNode& n,
+                                              std::vector<IdRow> input,
+                                              const EvalContext& ctx);
+
+/// Limit kernel (n is a kLimit node): keeps the first n.limit rows (all of
+/// them when n.limit is negative).
+std::vector<IdRow> ComputeLimitRows(const PlanNode& n,
+                                    std::vector<IdRow> input);
 
 }  // namespace dvs
 

@@ -13,40 +13,26 @@ namespace dvs {
 namespace {
 
 /// Batch-engine snapshot of a subplan at one interval endpoint, memoized in
-/// the DeltaContext's BatchMemo. Returns nullptr when the batch engine
-/// declined (plan not batch-safe, or a columnar bail-out) — callers then go
-/// through the row path. Both endpoints share the memo, so unchanged
-/// micro-partitions (pointer-identical batches from the partition cache)
-/// turn the second endpoint's joins into probe-cache hits.
+/// the DeltaContext's BatchMemo. Both endpoints share the memo, so
+/// unchanged micro-partitions (pointer-identical batches from the partition
+/// cache) turn the second endpoint's joins into probe-cache hits.
 Result<const BatchVector*> SnapshotBatches(const PlanNode& n,
                                            const DeltaContext& ctx,
                                            bool at_end) {
   auto& cache = ctx.memo.snapshots[at_end ? 1 : 0];
   auto it = cache.find(&n);
   if (it != cache.end()) return &it->second;
-  if (!PlanBatchSafe(n)) return static_cast<const BatchVector*>(nullptr);
   BatchExecEnv env;
   env.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
   env.resolve_scan_batches =
       at_end ? ctx.batch_resolve_at_end : ctx.batch_resolve_at_start;
   env.eval = at_end ? ctx.eval_end : ctx.eval_start;
   env.memo = &ctx.memo;
-  // A bailed snapshot reruns through the row path, so the profile charges
-  // fresh: the batch attempt writes a scratch sink, merged only on success.
-  obs::ProfileSink scratch;
-  if (ctx.profile != nullptr) env.profile = &scratch;
+  env.profile = ctx.profile;
   // Materialization is not charged (see Snapshot below); env charges are
   // discarded with the env.
-  Result<BatchVector> batches = ExecutePlanBatches(n, env);
-  if (env.bail) {
-    if (ctx.profile != nullptr) {
-      ctx.profile->Node(n.node_tag)->vector_bails += 1;
-    }
-    return static_cast<const BatchVector*>(nullptr);
-  }
-  if (!batches.ok()) return batches.status();
-  if (ctx.profile != nullptr) ctx.profile->MergeFrom(scratch);
-  auto [ins, unused] = cache.emplace(&n, batches.take());
+  DVS_ASSIGN_OR_RETURN(BatchVector batches, ExecutePlanBatches(n, env));
+  auto [ins, unused] = cache.emplace(&n, std::move(batches));
   (void)unused;
   return &ins->second;
 }
@@ -67,18 +53,7 @@ Result<const std::vector<IdRow>*> Snapshot(const PlanNode& n,
   if (it != cache.end()) return &it->second;
   DVS_ASSIGN_OR_RETURN(const BatchVector* batches,
                        SnapshotBatches(n, ctx, at_end));
-  std::vector<IdRow> rows;
-  if (batches != nullptr) {
-    rows = BatchesToRows(*batches);
-  } else {
-    ExecContext ec;
-    ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
-    ec.eval = at_end ? ctx.eval_end : ctx.eval_start;
-    ec.force_row_path = true;  // the batch engine already declined above
-    ec.profile = ctx.profile;
-    DVS_ASSIGN_OR_RETURN(rows, ExecutePlan(n, ec));
-  }
-  auto [ins, unused] = cache.emplace(&n, std::move(rows));
+  auto [ins, unused] = cache.emplace(&n, BatchesToRows(*batches));
   (void)unused;
   return &ins->second;
 }
@@ -151,21 +126,6 @@ Result<ChangeSet> DeltaUnionAll(const PlanNode& n, const DeltaContext& ctx) {
                      std::move(c.values)});
     }
   }
-  return out;
-}
-
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-Row ConcatRows(const Row& l, const Row& r) {
-  Row out;
-  out.reserve(l.size() + r.size());
-  out.insert(out.end(), l.begin(), l.end());
-  out.insert(out.end(), r.begin(), r.end());
   return out;
 }
 
@@ -363,21 +323,37 @@ bool ExprsImmutable(const std::vector<ExprPtr>& exprs) {
   return true;
 }
 
+/// Row-wise redo of one batch's restriction, exactly the scalar code path
+/// of Restrict (the first failing row's error surfaces).
+Result<Sel> RedoRestrictRowwise(const ColumnBatch& b,
+                                const std::vector<ExprPtr>& key_exprs,
+                                const EvalContext& ec, const KeySet& ks) {
+  Sel sel;
+  KeyExtractor key(key_exprs, ec);
+  for (size_t r = 0; r < b.rows; ++r) {
+    DVS_RETURN_IF_ERROR(key.Extract(MaterializeRow(b, r)));
+    if (ks.Contains(key.ref(), b.ids[r])) {
+      sel.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return sel;
+}
+
 /// Columnar Restrict: keeps rows whose group key is in `ks`, gathering the
 /// survivors into compacted batches. The digest set prefilters so only
 /// candidate rows materialize their key Row for the exact KeySet probe.
 /// `sel_memo` (optional) caches per-batch selections — pointer-identical
 /// snapshot batches at the other endpoint skip key evaluation entirely;
-/// only sound when the key exprs are immutable. Returns false on any
-/// vectorized key-evaluation failure; the caller redoes the restrict
-/// row-wise so the surfaced error matches the row engine's.
-bool RestrictBatches(const BatchVector& in,
-                     const std::vector<ExprPtr>& key_exprs,
-                     const EvalContext& ec, const KeySet& ks,
-                     const std::unordered_set<uint64_t>& digests,
-                     std::unordered_map<const ColumnBatch*, Sel>* sel_memo,
-                     BatchVector* out, uint64_t* member_count,
-                     obs::OpStats* prof) {
+/// only sound when the key exprs are immutable. A batch whose vectorized
+/// key evaluation fails is redone row-wise, so a surfaced error is the one
+/// row-order evaluation raises.
+Status RestrictBatches(const BatchVector& in,
+                       const std::vector<ExprPtr>& key_exprs,
+                       const EvalContext& ec, const KeySet& ks,
+                       const std::unordered_set<uint64_t>& digests,
+                       std::unordered_map<const ColumnBatch*, Sel>* sel_memo,
+                       BatchVector* out, uint64_t* member_count,
+                       obs::OpStats* prof) {
   for (const BatchPtr& b : in) {
     Sel sel;
     const Sel* use = nullptr;
@@ -390,18 +366,25 @@ bool RestrictBatches(const BatchVector& in,
     }
     if (use == nullptr) {
       Result<BatchKeys> bk = ComputeBatchKeys(key_exprs, *b, ec);
-      if (!bk.ok()) return false;
-      const BatchKeys& k = bk.value();
-      Row scratch;
-      for (size_t r = 0; r < b->rows; ++r) {
-        bool hit = !ks.row_ids.empty() && ks.row_ids.count(b->ids[r]) > 0;
-        if (!hit && digests.count(k.digests[r]) > 0) {
-          scratch.clear();
-          for (const ColumnPtr& c : k.cols) scratch.push_back(c->GetValue(r));
-          hit = ks.keys.find(HashedKeyRef{&scratch, k.digests[r]}) !=
-                ks.keys.end();
+      if (bk.ok()) {
+        const BatchKeys& k = bk.value();
+        Row scratch;
+        for (size_t r = 0; r < b->rows; ++r) {
+          bool hit = !ks.row_ids.empty() && ks.row_ids.count(b->ids[r]) > 0;
+          if (!hit && digests.count(k.digests[r]) > 0) {
+            scratch.clear();
+            for (const ColumnPtr& c : k.cols) scratch.push_back(c->GetValue(r));
+            hit = ks.keys.find(HashedKeyRef{&scratch, k.digests[r]}) !=
+                  ks.keys.end();
+          }
+          if (hit) sel.push_back(static_cast<uint32_t>(r));
         }
-        if (hit) sel.push_back(static_cast<uint32_t>(r));
+      } else {
+        // Vector key evaluation failed somewhere in this batch: redo it
+        // row-wise, so a surfaced error is the first failing row's.
+        obs::ExecCounters::Instance().row_redos += 1;
+        if (prof != nullptr) prof->row_redos += 1;
+        DVS_ASSIGN_OR_RETURN(sel, RedoRestrictRowwise(*b, key_exprs, ec, ks));
       }
       if (sel_memo != nullptr) {
         use = &sel_memo->emplace(b.get(), std::move(sel)).first->second;
@@ -417,97 +400,31 @@ bool RestrictBatches(const BatchVector& in,
       out->push_back(GatherBatch(b, *use));
     }
   }
-  return true;
+  return OkStatus();
 }
 
-// Δ(γ): affected-group recompute. For scalar aggregation (no GROUP BY) the
-// single global row is affected whenever the input delta is non-empty.
-//
-// When batch snapshots are available the restrict + recompute runs
-// columnarly (identical results, ids, and rows_processed); otherwise — and
-// on any vectorized evaluation failure — the row path below runs unchanged.
+// Δ(γ): affected-group recompute over restricted columnar snapshots. For
+// scalar aggregation (no GROUP BY) the single global row is affected
+// whenever the input delta is non-empty.
 Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
   DVS_ASSIGN_OR_RETURN(ChangeSet din, Delta(*n.children[0], ctx));
   if (din.empty()) return ChangeSet{};
 
   DVS_ASSIGN_OR_RETURN(const BatchVector* b0,
                        SnapshotBatches(*n.children[0], ctx, false));
-  const BatchVector* b1 = nullptr;
-  if (b0 != nullptr) {
-    Result<const BatchVector*> r1 = SnapshotBatches(*n.children[0], ctx, true);
-    if (!r1.ok()) return r1.status();
-    b1 = r1.value();
-  }
+  DVS_ASSIGN_OR_RETURN(const BatchVector* b1,
+                       SnapshotBatches(*n.children[0], ctx, true));
+  // Scalar aggregation always emits one row, even on empty input; for
+  // grouped aggregation, groups with no surviving members disappear.
   const bool force = n.group_by.empty();
 
-  if (b0 != nullptr && b1 != nullptr) {
-    BatchVector old_members, new_members;
-    uint64_t old_count = 0, new_count = 0;
-    bool restricted = true;
-    if (n.group_by.empty()) {
-      old_members = *b0;
-      new_members = *b1;
-      old_count = BatchRowCount(old_members);
-      new_count = BatchRowCount(new_members);
-    } else {
-      KeySet ks;
-      KeyExtractor kdel(n.group_by, ctx.eval_start);
-      KeyExtractor kins(n.group_by, ctx.eval_end);
-      for (const ChangeRow& c : din) {
-        KeyExtractor& key = c.action == ChangeAction::kDelete ? kdel : kins;
-        DVS_RETURN_IF_ERROR(key.Extract(c.values));
-        ks.keys.insert(key.hashed_key());
-      }
-      std::unordered_set<uint64_t> digests;
-      digests.reserve(ks.keys.size());
-      for (const HashedKey& k : ks.keys) digests.insert(k.digest);
-      std::unordered_map<const ColumnBatch*, Sel> sel_memo;
-      std::unordered_map<const ColumnBatch*, Sel>* memo =
-          ExprsImmutable(n.group_by) ? &sel_memo : nullptr;
-      obs::OpStats* prof =
-          ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
-      restricted =
-          RestrictBatches(*b0, n.group_by, ctx.eval_start, ks, digests, memo,
-                          &old_members, &old_count, prof) &&
-          RestrictBatches(*b1, n.group_by, ctx.eval_end, ks, digests, memo,
-                          &new_members, &new_count, prof);
-    }
-    if (restricted) {
-      BatchExecEnv env0, env1;
-      env0.eval = ctx.eval_start;
-      env1.eval = ctx.eval_end;
-      env0.profile = ctx.profile;
-      env1.profile = ctx.profile;
-      DVS_ASSIGN_OR_RETURN(
-          BatchVector oldb, ComputeAggregateBatches(n, old_members, env0, force));
-      DVS_ASSIGN_OR_RETURN(
-          BatchVector newb, ComputeAggregateBatches(n, new_members, env1, force));
-      if (!env0.bail && !env1.bail) {
-        std::vector<IdRow> old_rows = BatchesToRows(oldb);
-        std::vector<IdRow> new_rows = BatchesToRows(newb);
-        ChangeSet out;
-        out.reserve(old_rows.size() + new_rows.size());
-        for (IdRow& r : old_rows) {
-          out.push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
-        }
-        for (IdRow& r : new_rows) {
-          out.push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
-        }
-        ctx.rows_processed += old_count + new_count;
-        return out;
-      }
-    }
-  }
-
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in0,
-                       Snapshot(*n.children[0], ctx, false));
-  DVS_ASSIGN_OR_RETURN(const std::vector<IdRow>* in1,
-                       Snapshot(*n.children[0], ctx, true));
-
-  std::vector<IdRow> old_members, new_members;
-  if (n.group_by.empty()) {
-    old_members = *in0;
-    new_members = *in1;
+  BatchVector old_members, new_members;
+  uint64_t old_count = 0, new_count = 0;
+  if (force) {
+    old_members = *b0;
+    new_members = *b1;
+    old_count = BatchRowCount(old_members);
+    new_count = BatchRowCount(new_members);
   } else {
     KeySet ks;
     KeyExtractor kdel(n.group_by, ctx.eval_start);
@@ -517,27 +434,41 @@ Result<ChangeSet> DeltaAggregate(const PlanNode& n, const DeltaContext& ctx) {
       DVS_RETURN_IF_ERROR(key.Extract(c.values));
       ks.keys.insert(key.hashed_key());
     }
-    Status st = OkStatus();
-    old_members = Restrict(*in0, n.group_by, ctx.eval_start, ks, &st);
-    DVS_RETURN_IF_ERROR(st);
-    new_members = Restrict(*in1, n.group_by, ctx.eval_end, ks, &st);
-    DVS_RETURN_IF_ERROR(st);
+    std::unordered_set<uint64_t> digests;
+    digests.reserve(ks.keys.size());
+    for (const HashedKey& k : ks.keys) digests.insert(k.digest);
+    std::unordered_map<const ColumnBatch*, Sel> sel_memo;
+    std::unordered_map<const ColumnBatch*, Sel>* memo =
+        ExprsImmutable(n.group_by) ? &sel_memo : nullptr;
+    obs::OpStats* prof =
+        ctx.profile != nullptr ? ctx.profile->Node(n.node_tag) : nullptr;
+    DVS_RETURN_IF_ERROR(RestrictBatches(*b0, n.group_by, ctx.eval_start, ks,
+                                        digests, memo, &old_members,
+                                        &old_count, prof));
+    DVS_RETURN_IF_ERROR(RestrictBatches(*b1, n.group_by, ctx.eval_end, ks,
+                                        digests, memo, &new_members,
+                                        &new_count, prof));
   }
-
-  // Scalar aggregation always emits one row, even on empty input; for
-  // grouped aggregation, groups with no surviving members disappear.
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> old_rows,
-                       ComputeAggregateRows(n, old_members, ctx.eval_start, force));
-  DVS_ASSIGN_OR_RETURN(std::vector<IdRow> new_rows,
-                       ComputeAggregateRows(n, new_members, ctx.eval_end, force));
+  BatchExecEnv env0, env1;
+  env0.eval = ctx.eval_start;
+  env1.eval = ctx.eval_end;
+  env0.profile = ctx.profile;
+  env1.profile = ctx.profile;
+  DVS_ASSIGN_OR_RETURN(BatchVector oldb,
+                       ComputeAggregateBatches(n, old_members, env0, force));
+  DVS_ASSIGN_OR_RETURN(BatchVector newb,
+                       ComputeAggregateBatches(n, new_members, env1, force));
+  std::vector<IdRow> old_rows = BatchesToRows(oldb);
+  std::vector<IdRow> new_rows = BatchesToRows(newb);
   ChangeSet out;
+  out.reserve(old_rows.size() + new_rows.size());
   for (IdRow& r : old_rows) {
     out.push_back({ChangeAction::kDelete, r.id, std::move(r.values)});
   }
   for (IdRow& r : new_rows) {
     out.push_back({ChangeAction::kInsert, r.id, std::move(r.values)});
   }
-  ctx.rows_processed += old_members.size() + new_members.size();
+  ctx.rows_processed += old_count + new_count;
   return out;
 }
 

@@ -49,10 +49,10 @@ struct DeltaContext {
   EvalContext eval_start;         ///< Context functions as of I0 (deletes).
   EvalContext eval_end;           ///< Context functions as of I1 (inserts).
 
-  /// Optional columnar snapshot sources (storage/batch_scan.h). When set,
-  /// batch-safe subplan snapshots run on the batch engine; unchanged
-  /// micro-partitions resolve to pointer-identical batches at both
-  /// endpoints, so the memoized join/restrict caches carry across ends.
+  /// Optional columnar snapshot sources (storage/batch_scan.h), preferred
+  /// over the row resolvers when set: unchanged micro-partitions resolve to
+  /// pointer-identical batches at both endpoints, so the memoized
+  /// join/restrict caches carry across ends.
   BatchScanResolver batch_resolve_at_start;
   BatchScanResolver batch_resolve_at_end;
 

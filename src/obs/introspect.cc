@@ -202,7 +202,6 @@ Schema RefreshProfileSchema() {
   s.AddColumn("batch_cache_hits", DataType::kInt64);
   s.AddColumn("batch_cache_misses", DataType::kInt64);
   s.AddColumn("sel_memo_hits", DataType::kInt64);
-  s.AddColumn("vector_bails", DataType::kInt64);
   s.AddColumn("row_redos", DataType::kInt64);
   // Wall-clock columns come LAST so deterministic consumers (bench_e21) can
   // project them away and byte-compare the rest across worker counts.
@@ -269,7 +268,6 @@ Result<sql::TableFunctionResult> RefreshProfileFn(
       row.push_back(Value::Int(static_cast<int64_t>(s->batch_cache_hits)));
       row.push_back(Value::Int(static_cast<int64_t>(s->batch_cache_misses)));
       row.push_back(Value::Int(static_cast<int64_t>(s->sel_memo_hits)));
-      row.push_back(Value::Int(static_cast<int64_t>(s->vector_bails)));
       row.push_back(Value::Int(static_cast<int64_t>(s->row_redos)));
       row.push_back(Value::Int(static_cast<int64_t>(s->wall_ns)));
       out.rows.push_back(std::move(row));
@@ -441,8 +439,6 @@ EngineMetrics::EngineMetrics(DvsEngine* engine, Registry* registry)
        &ExecCounters::batch_cache_hits},
       {"storage.batch_cache.misses", "Partition->batch conversions",
        &ExecCounters::batch_cache_misses},
-      {"exec.vector_bails", "Columnar bail-outs to the row engine",
-       &ExecCounters::vector_bails},
       {"exec.row_redos", "Row-wise redo fallbacks after vector-eval errors",
        &ExecCounters::row_redos},
   };

@@ -42,30 +42,12 @@ void ExecCounters::ResetAll() {
   join_cache_misses.Reset();
   batch_cache_hits.Reset();
   batch_cache_misses.Reset();
-  vector_bails.Reset();
   row_redos.Reset();
 }
 
 ExecCounters& ExecCounters::Instance() {
   static ExecCounters counters;
   return counters;
-}
-
-// ---- OpStats ----
-
-void OpStats::Merge(const OpStats& other) {
-  rows_out += other.rows_out;
-  batches += other.batches;
-  join_build_hits += other.join_build_hits;
-  join_build_misses += other.join_build_misses;
-  join_probe_hits += other.join_probe_hits;
-  join_probe_misses += other.join_probe_misses;
-  batch_cache_hits += other.batch_cache_hits;
-  batch_cache_misses += other.batch_cache_misses;
-  sel_memo_hits += other.sel_memo_hits;
-  vector_bails += other.vector_bails;
-  row_redos += other.row_redos;
-  wall_ns += other.wall_ns;
 }
 
 // ---- ProfileSink ----
@@ -105,12 +87,6 @@ uint64_t ProfileSink::RowsInOf(size_t op_index) const {
   return in;
 }
 
-void ProfileSink::MergeFrom(const ProfileSink& other) {
-  // Stats only: scratch sinks (batch attempts) never declare structure, the
-  // destination sink already has it.
-  for (const auto& [tag, s] : other.stats_) Node(tag)->Merge(s);
-}
-
 std::string ProfileSink::Render(bool include_wall) const {
   static const OpStats kZero;
   std::string out;
@@ -147,7 +123,6 @@ std::string FormatOpStats(const OpStats& s, uint64_t rows_in,
   AppendPair(&out, "join_probe", s.join_probe_hits, s.join_probe_misses);
   AppendPair(&out, "batch_cache", s.batch_cache_hits, s.batch_cache_misses);
   AppendIfNonzero(&out, "sel_memo", s.sel_memo_hits);
-  AppendIfNonzero(&out, "bails", s.vector_bails);
   AppendIfNonzero(&out, "redos", s.row_redos);
   if (include_wall) {
     char buf[32];

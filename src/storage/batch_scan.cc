@@ -5,32 +5,7 @@
 namespace dvs {
 
 BatchVector PartitionToBatches(const MicroPartition& p) {
-  BatchVector out;
-  size_t start = 0;
-  while (start < p.rows.size()) {
-    const size_t width = p.rows[start].values.size();
-    size_t end = start + 1;
-    while (end < p.rows.size() && p.rows[end].values.size() == width) ++end;
-
-    auto batch = std::make_shared<ColumnBatch>();
-    batch->rows = end - start;
-    batch->ids.reserve(end - start);
-    std::vector<std::shared_ptr<BatchColumn>> cols(width);
-    for (auto& c : cols) {
-      c = std::make_shared<BatchColumn>();
-      c->Reserve(end - start);
-    }
-    for (size_t r = start; r < end; ++r) {
-      batch->ids.push_back(p.rows[r].id);
-      for (size_t c = 0; c < width; ++c) {
-        cols[c]->AppendValue(p.rows[r].values[c]);
-      }
-    }
-    batch->cols.assign(cols.begin(), cols.end());
-    out.push_back(std::move(batch));
-    start = end;
-  }
-  return out;
+  return RowsToBatches(p.rows);
 }
 
 BatchVector ScanBatchesAt(const VersionedTable& table, VersionId version,

@@ -25,9 +25,9 @@ using PartitionBatchCache =
     std::unordered_map<const MicroPartition*, BatchVector>;
 
 /// Converts one micro-partition to column batches, preserving row order and
-/// ids. Usually a single batch; rows of differing widths (possible in base
-/// tables, which do not validate row width) split into one batch per
-/// maximal uniform-width run so every batch has a well-defined width.
+/// ids: one batch for a partition of at most kBatchSize rows (the storage
+/// default). Rows of a partition share one width; storage validates insert
+/// widths.
 BatchVector PartitionToBatches(const MicroPartition& p);
 
 /// The table's contents at `version` as column batches, in ScanAt order.

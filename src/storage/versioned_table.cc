@@ -61,6 +61,17 @@ void VersionedTable::AddRowsAsPartitions(std::vector<IdRow> rows,
 }
 
 Status VersionedTable::ValidateChanges(const ChangeSet& changes) const {
+  // Every stored row has the schema's width: the columnar scan path relies
+  // on it, so a ragged insert fails here, before anything is applied.
+  for (const ChangeRow& c : changes) {
+    if (c.action == ChangeAction::kInsert &&
+        c.values.size() != schema_.size()) {
+      return InvalidArgument("insert of row id " + std::to_string(c.row_id) +
+                             " has " + std::to_string(c.values.size()) +
+                             " values; table has " +
+                             std::to_string(schema_.size()) + " columns");
+    }
+  }
   // Production validation (§6.1): at most one change per (row_id, action).
   std::unordered_set<uint64_t> seen;
   seen.reserve(changes.size());

@@ -179,6 +179,7 @@ class VersionedTable {
   Status ValidateChanges(const ChangeSet& changes) const;
 
   /// Commits `changes` as a new version with the given commit timestamp.
+  /// Rejects (InvalidArgument) an insert whose width is not schema().size().
   /// Enforces the production validations of §6.1:
   ///   - at most one change per (row_id, action) pair,
   ///   - never delete a row id that is not currently stored.

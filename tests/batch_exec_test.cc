@@ -1,8 +1,10 @@
 // Columnar batch engine tests: ColumnBatch invariants (null bitmap, lane
 // demotion, string interning), vectorized-vs-scalar evaluation parity, key
 // digest compatibility with HashRow, and randomized whole-plan equivalence
-// against the row engine (force_row_path) as the oracle — results, row ids,
-// emission order, and the rows_processed work metric must all match.
+// against the row-at-a-time reference interpreter (reference_exec.h) as the
+// oracle — results, row ids, emission order, the rows_processed work metric
+// and, for plans that raise an error on some row, the error status must all
+// match.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "exec/batch_exec.h"
 #include "exec/vector_eval.h"
 #include "plan/logical_plan.h"
+#include "reference_exec.h"
 
 namespace dvs {
 namespace {
@@ -119,7 +122,7 @@ TEST(ColumnBatchTest, GatherInternsStringsIntoDestinationArena) {
 TEST(BatchExecTest, FilterCompactsAcrossBatchBoundaries) {
   // 2.5 batches worth of rows; keep every third row via IN. Compaction must
   // keep ids aligned with values across batch boundaries, and the batch
-  // engine's work accounting must equal the row engine's.
+  // engine's work accounting must equal the reference interpreter's.
   const size_t n = 2 * kBatchSize + kBatchSize / 2;
   std::vector<Row> rows;
   for (size_t i = 0; i < n; ++i) {
@@ -143,10 +146,9 @@ TEST(BatchExecTest, FilterCompactsAcrossBatchBoundaries) {
     return input;
   };
   ExecContext row_ctx = batch_ctx;
-  row_ctx.force_row_path = true;
 
   auto b = ExecutePlan(*plan, batch_ctx);
-  auto r = ExecutePlan(*plan, row_ctx);
+  auto r = reference::Execute(*plan, row_ctx);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(b.value().size(), (n + 2) / 3);
@@ -190,7 +192,7 @@ TEST(BatchKeysTest, DigestsMatchHashRowExactly) {
   }
 }
 
-// ---- Randomized whole-plan equivalence (row engine as oracle) ----
+// ---- Randomized whole-plan equivalence (reference interpreter as oracle) ----
 
 Row RandomRow(Rng* rng) {
   // k: small-domain int (join/group key), occasionally null; v: mixed
@@ -215,6 +217,22 @@ Row RandomRow(Rng* rng) {
                 : Value::String("s" + std::to_string(rng->Uniform(0, 3)));
   return {std::move(k), std::move(v), std::move(s)};
 }
+
+// On rows with v = 4 (about one row in twenty), raises an error that names
+// the row ("cannot cast 's2|3|4' to INT"); yields 7 on every other row. The
+// columns of k, v and s are passed in so the expression also fits a joined
+// row. Which row fails first is visible in the message, so error selection
+// is checked, not just the error code.
+ExprPtr RowError(size_t k, size_t v, size_t s) {
+  return CastTo(
+      DataType::kInt64,
+      Func("iff", {Binary(BinaryOp::kEq, ColRef(v), LitInt(4)),
+                   Func("concat", {ColRef(s), LitString("|"), ColRef(k),
+                                   LitString("|"), ColRef(v)}),
+                   LitString("7")}));
+}
+
+constexpr int kShapeCount = 21;
 
 PlanPtr EquivalenceShape(int which, const Schema& schema) {
   PlanPtr sa = MakeScan(1, "a", schema);
@@ -255,11 +273,50 @@ PlanPtr EquivalenceShape(int which, const Schema& schema) {
                         {Win(WindowFunc::kRowNumber, {}),
                          Win(WindowFunc::kSum, {ColRef(1)})},
                         {"rn", "running"});
-    default:  // scalar aggregation (forced global group)
+    case 9:  // scalar aggregation (forced global group)
       return MakeAggregate(sa, {},
                            {Agg(AggFunc::kCountStar, {}),
                             Agg(AggFunc::kSum, {ColRef(1)})},
                            {"n", "sv"});
+    case 10:  // order by + limit over a filter (row kernels)
+      return MakeLimit(
+          MakeOrderBy(MakeFilter(sa, Binary(BinaryOp::kGe, ColRef(1),
+                                            LitInt(-2))),
+                      {{ColRef(2), false}, {ColRef(0), true}}),
+          7);
+    case 11:  // flatten of a per-row array
+      return MakeFlatten(sa, Func("array_construct", {ColRef(0), ColRef(1)}));
+    // Shapes 12.. raise an error on some rows: the surfaced error must be
+    // the one row-order evaluation raises, from every operator kind.
+    case 12:  // project
+      return MakeProject(sa, {ColRef(0), RowError(0, 1, 2)}, {"k", "e"});
+    case 13:  // filter predicate
+      return MakeFilter(sa, Binary(BinaryOp::kGt, RowError(0, 1, 2),
+                                   LitInt(0)));
+    case 14:  // join key on the probe side
+      return MakeJoin(JoinType::kInner, sa, sb, {RowError(0, 1, 2)},
+                      {ColRef(0)});
+    case 15:  // join key on the build side, full outer
+      return MakeJoin(JoinType::kFull, sa, sb, {ColRef(0)},
+                      {RowError(0, 1, 2)});
+    case 16:  // left-join residual over the concatenated row
+      return MakeJoin(JoinType::kLeft, sa, sb, {ColRef(0)}, {ColRef(0)},
+                      Binary(BinaryOp::kGt, RowError(3, 4, 5), LitInt(0)));
+    case 17:  // aggregate argument
+      return MakeAggregate(sa, {ColRef(0)},
+                           {Agg(AggFunc::kSum, {RowError(0, 1, 2)})},
+                           {"k", "se"});
+    case 18:  // group key
+      return MakeAggregate(sa, {RowError(0, 1, 2)},
+                           {Agg(AggFunc::kCountStar, {})}, {"e", "n"});
+    case 19:  // order-by key
+      return MakeOrderBy(sa, {{RowError(0, 1, 2), true}});
+    default:  // both join inputs raise: the left input's error wins
+      return MakeJoin(
+          JoinType::kInner,
+          MakeFilter(sa, Binary(BinaryOp::kGt, RowError(0, 1, 2), LitInt(0))),
+          MakeFilter(sb, Binary(BinaryOp::kGt, RowError(0, 1, 2), LitInt(0))),
+          {ColRef(0)}, {ColRef(0)});
   }
 }
 
@@ -267,8 +324,9 @@ TEST(BatchExecTest, RandomPlansMatchRowEngineExactly) {
   const Schema schema({{"k", DataType::kInt64},
                        {"v", DataType::kInt64},
                        {"s", DataType::kString}});
+  int errors = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    for (int shape = 0; shape <= 9; ++shape) {
+    for (int shape = 0; shape < kShapeCount; ++shape) {
       Rng rng(seed * 104729 + static_cast<uint64_t>(shape));
       std::vector<Row> ra, rb;
       const int64_t na = rng.Uniform(0, 60);
@@ -280,20 +338,24 @@ TEST(BatchExecTest, RandomPlansMatchRowEngineExactly) {
 
       PlanPtr plan = CanonicalizePlanTags(EquivalenceShape(shape, schema));
       ASSERT_NE(plan, nullptr);
-      ASSERT_TRUE(PlanBatchSafe(*plan)) << "shape " << shape;
 
       ExecContext batch_ctx;
       batch_ctx.resolve_scan = [&](ObjectId id) -> Result<std::vector<IdRow>> {
         return id == 1 ? ia : ib;
       };
       ExecContext row_ctx = batch_ctx;
-      row_ctx.force_row_path = true;
 
       auto b = ExecutePlan(*plan, batch_ctx);
-      auto r = ExecutePlan(*plan, row_ctx);
+      auto r = reference::Execute(*plan, row_ctx);
       ASSERT_EQ(b.ok(), r.ok()) << "seed " << seed << " shape " << shape;
+      EXPECT_EQ(batch_ctx.rows_processed, row_ctx.rows_processed)
+          << "seed " << seed << " shape " << shape;
       if (!b.ok()) {
-        EXPECT_EQ(b.status().ToString(), r.status().ToString());
+        ++errors;
+        EXPECT_EQ(b.status().code(), r.status().code())
+            << "seed " << seed << " shape " << shape;
+        EXPECT_EQ(b.status().message(), r.status().message())
+            << "seed " << seed << " shape " << shape;
         continue;
       }
       ASSERT_EQ(b.value().size(), r.value().size())
@@ -304,20 +366,63 @@ TEST(BatchExecTest, RandomPlansMatchRowEngineExactly) {
         EXPECT_TRUE(RowsEqual(b.value()[i].values, r.value()[i].values))
             << "seed " << seed << " shape " << shape << " row " << i;
       }
-      EXPECT_EQ(batch_ctx.rows_processed, row_ctx.rows_processed)
-          << "seed " << seed << " shape " << shape;
     }
   }
+  // The error shapes must actually exercise the error path, and not on
+  // every run.
+  EXPECT_GT(errors, 10);
+  EXPECT_LT(errors, 12 * 9);
 }
 
-TEST(BatchExecTest, VolatilePlansRouteToRowPath) {
-  // RANDOM() draws from the eval context's rng in row-evaluation order;
-  // vectorized evaluation would reorder the draws, so such plans must be
-  // declared batch-unsafe.
-  PlanPtr plan =
+TEST(BatchExecTest, VolatileFunctionWithoutEntropyFailsLikeScalarEval) {
+  // RANDOM() over a non-empty input with no entropy source in the context:
+  // the columnar engine surfaces the scalar evaluator's error.
+  PlanPtr plan = CanonicalizePlanTags(
       MakeProject(MakeScan(1, "t", Schema({{"k", DataType::kInt64}})),
-                  {ColRef(0), Func("random", {})}, {"k", "r"});
-  EXPECT_FALSE(PlanBatchSafe(*plan));
+                  {ColRef(0), Func("random", {})}, {"k", "r"}));
+  std::vector<IdRow> input = MakeIdRows({{Value::Int(1)}, {Value::Int(2)}});
+  ExecContext ctx;
+  ctx.resolve_scan = [&](ObjectId) -> Result<std::vector<IdRow>> {
+    return input;
+  };
+  ExecContext ref_ctx = ctx;
+  auto b = ExecutePlan(*plan, ctx);
+  auto r = reference::Execute(*plan, ref_ctx);
+  ASSERT_FALSE(b.ok());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kUserError);
+  EXPECT_EQ(b.status().message(),
+            "random(): no entropy source in this context");
+  EXPECT_EQ(b.status().ToString(), r.status().ToString());
+}
+
+TEST(BatchExecTest, ScanWidthMismatchFailsPrecondition) {
+  // A scan source whose rows do not have the scan node's schema width (a
+  // time-travel read across a schema-changing rebind, for one) fails
+  // cleanly instead of reading columns that are not there.
+  PlanPtr plan = CanonicalizePlanTags(MakeProject(
+      MakeScan(1, "t",
+               Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}})),
+      {ColRef(1)}, {"v"}));
+  std::vector<IdRow> narrow = MakeIdRows({{Value::Int(1)}, {Value::Int(2)}});
+  ExecContext row_ctx;
+  row_ctx.resolve_scan = [&](ObjectId) -> Result<std::vector<IdRow>> {
+    return narrow;
+  };
+  auto r = ExecutePlan(*plan, row_ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status().message().find("width 1"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(row_ctx.rows_processed, 0u);
+
+  ExecContext batch_ctx;
+  batch_ctx.resolve_scan_batches = [&](ObjectId) -> Result<BatchVector> {
+    return RowsToBatches(narrow);
+  };
+  auto b = ExecutePlan(*plan, batch_ctx);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().ToString(), r.status().ToString());
 }
 
 }  // namespace

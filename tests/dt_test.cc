@@ -336,6 +336,58 @@ TEST_F(EngineTest, ReplacedUpstreamTriggersReinitialize) {
   ExpectDvsInvariant("dt");
 }
 
+TEST_F(EngineTest, TimeTravelAcrossSchemaChangingRebindFailsCleanly) {
+  Exec("CREATE TABLE src (v INT, w INT)");
+  Exec("INSERT INTO src VALUES (1, 2)");
+  Exec("CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "AS SELECT * FROM src");
+  ManualRefresh("dt");
+  const Micros before_rebind = Meta("dt").data_timestamp;
+  // §5.4: the replaced upstream widens the DT's schema on its next refresh.
+  Exec("CREATE OR REPLACE TABLE src (v INT, w INT, x INT)");
+  Exec("INSERT INTO src VALUES (7, 8, 9)");
+  EXPECT_EQ(ManualRefresh("dt").action, RefreshAction::kReinitialize);
+  EXPECT_EQ(Q("SELECT * FROM dt").schema.size(), 3u);
+  ExpectDvsInvariant("dt");
+
+  // The version written before the rebind has two-column rows; the DT's
+  // schema now has three. Reading it fails; it never reads out of range or
+  // returns rows of the wrong shape.
+  for (const char* sql : {"SELECT * FROM dt", "SELECT v FROM dt"}) {
+    auto r = engine_.QueryAsOf(sql, before_rebind);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << sql;
+    EXPECT_NE(r.status().message().find("Scan of 'dt' produced rows of "
+                                        "width 2, but its schema has 3"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST_F(EngineTest, VolatileFunctionWithoutEntropySurfacesUserError) {
+  // No production context carries an entropy source, so RANDOM() over a
+  // non-empty source fails with the scalar evaluator's error, both in a DT
+  // refresh and in a QueryAsOf read.
+  Exec("CREATE TABLE src (v INT)");
+  Exec("INSERT INTO src VALUES (1), (2)");
+  const std::string kError =
+      "UserError: random(): no entropy source in this context";
+  auto created = engine_.Execute(
+      "CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+      "AS SELECT v, random() AS r FROM src");
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().ToString(), kError);
+  clock_.Advance(kMicrosPerMinute);
+  auto refreshed = engine_.refresh_engine().Refresh(
+      engine_.ObjectIdOf("dt").value(), clock_.Now());
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_EQ(refreshed.status().ToString(), kError);
+
+  auto read = engine_.QueryAsOf("SELECT v, random() FROM src", clock_.Now());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().ToString(), kError);
+}
+
 TEST_F(EngineTest, UserErrorCountsFailuresAndAutoSuspends) {
   Exec("CREATE TABLE src (v INT)");
   Exec("INSERT INTO src VALUES (1)");

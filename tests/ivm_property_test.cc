@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "ivm/differentiator.h"
+#include "reference_exec.h"
 
 namespace dvs {
 namespace {
@@ -192,13 +193,25 @@ TEST_P(DifferentiatorSweep, DeltaEqualsStateDifference) {
   auto delta = Differentiate(*plan, ctx);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
 
-  // Materialize both ends via full execution.
+  // Materialize both ends through the row-at-a-time reference interpreter
+  // (the oracle), checking that full execution agrees with it.
   auto execute = [&](bool at_end) {
     ExecContext ec;
     ec.resolve_scan = at_end ? ctx.resolve_at_end : ctx.resolve_at_start;
-    auto r = ExecutePlan(*plan, ec);
+    auto r = reference::Execute(*plan, ec);
     EXPECT_TRUE(r.ok());
-    return r.ok() ? r.take() : std::vector<IdRow>{};
+    if (!r.ok()) return std::vector<IdRow>{};
+    auto full = ExecutePlan(*plan, ec);
+    EXPECT_TRUE(full.ok());
+    if (full.ok()) {
+      EXPECT_EQ(full.value().size(), r.value().size());
+      for (size_t i = 0; i < full.value().size() && i < r.value().size();
+           ++i) {
+        EXPECT_EQ(full.value()[i].id, r.value()[i].id);
+        EXPECT_TRUE(RowsEqual(full.value()[i].values, r.value()[i].values));
+      }
+    }
+    return r.take();
   };
 
   std::map<RowId, Row> state;

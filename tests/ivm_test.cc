@@ -294,6 +294,26 @@ TEST(DifferentiatorTest, GroupDisappearsWhenEmpty) {
   h.CheckDelta(plan);
 }
 
+TEST(DifferentiatorTest, GroupKeyErrorInSnapshotSurfacesFromRestrict) {
+  // The delta's own group keys evaluate fine, but restricting the I0
+  // snapshot to the affected groups evaluates the key on a row where it
+  // fails (100 / 0). The columnar restrict redoes that batch row-wise and
+  // surfaces the scalar evaluator's error.
+  DeltaHarness h;
+  ObjectId t = h.AddTable("t", KV());
+  h.Insert(t, R(1, 0), true);
+  h.Insert(t, R(2, 5), true);
+  h.Insert(t, R(3, 10), false);
+  auto plan = MakeAggregate(
+      h.Scan(t), {Binary(BinaryOp::kDiv, LitInt(100), ColRef(1))},
+      {Agg(AggFunc::kCountStar, {})}, {"q", "n"});
+  DeltaContext ctx = h.Ctx();
+  auto delta = Differentiate(*plan, ctx);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kUserError);
+  EXPECT_EQ(delta.status().message(), "division by zero");
+}
+
 TEST(DifferentiatorTest, UnchangedGroupsProduceNoChanges) {
   DeltaHarness h;
   ObjectId t = h.AddTable("t", KV());

@@ -1,7 +1,8 @@
 // Tests for src/obs/profile.h: ProfileSink mechanics (plan declaration,
-// derived rows_in, scratch-sink merge), per-refresh profile retention (ring
-// bound, success and failure outcomes, disarmed = no allocation), EXPLAIN /
-// EXPLAIN ANALYZE through the SQL surface on both engines (force_row_path),
+// derived rows_in, rendering), per-refresh profile retention (ring bound,
+// success and failure outcomes, disarmed = no allocation), EXPLAIN /
+// EXPLAIN ANALYZE through the SQL surface, checked against the row-at-a-time
+// reference interpreter (reference_exec.h),
 // the REFRESH_PROFILE table function (args, limits, definition rejection),
 // worker-count invariance of every deterministic profile counter, and
 // concurrent scrapes against a running multi-worker scheduler (TSan target).
@@ -19,7 +20,9 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "plan/logical_plan.h"
+#include "reference_exec.h"
 #include "sched/scheduler.h"
+#include "sql/parser.h"
 
 namespace dvs {
 namespace {
@@ -81,23 +84,18 @@ TEST(ProfileSinkTest, RowsInDerivesFromChildren) {
   EXPECT_EQ(sink.RowsInOf(2), 0u);  // leaves have no children
 }
 
-TEST(ProfileSinkTest, MergeFromFoldsCounters) {
+TEST(ProfileSinkTest, RenderDeterministicListsCounters) {
   PlanPtr plan = SmallPlan();
   obs::ProfileSink sink;
   sink.DeclarePlan(*plan);
   const uint64_t tag = sink.operators()[1].tag;
-  sink.Node(tag)->rows_out = 3;
-
-  obs::ProfileSink scratch;
-  scratch.Node(tag)->rows_out = 5;
-  scratch.Node(tag)->batches = 2;
-  sink.MergeFrom(scratch);
-  EXPECT_EQ(sink.Find(tag)->rows_out, 8u);
-  EXPECT_EQ(sink.Find(tag)->batches, 2u);
+  sink.Node(tag)->rows_out = 8;
+  sink.Node(tag)->batches = 2;
 
   std::string text = sink.RenderDeterministic();
   EXPECT_NE(text.find("Filter"), std::string::npos) << text;
   EXPECT_NE(text.find("rows_out=8"), std::string::npos) << text;
+  EXPECT_NE(text.find("batches=2"), std::string::npos) << text;
   // Deterministic render never contains wall time.
   EXPECT_EQ(text.find("wall_ms"), std::string::npos) << text;
 }
@@ -232,7 +230,7 @@ class ExplainTest : public ::testing::Test {
     if (!r.ok()) return out;
     EXPECT_EQ(r.value().schema.ToString(), "(plan STRING)");
     for (const Row& row : r.value().rows) {
-      std::string line = row[0].ToString();
+      std::string line = row[0].string_value();
       size_t wall = line.find("  wall_ms=");
       if (wall != std::string::npos) line.resize(wall);
       out += line + "\n";
@@ -262,13 +260,30 @@ TEST_F(ExplainTest, ExplainAnalyzeAnnotatesCounters) {
   EXPECT_NE(text.find("rows_in=3"), std::string::npos) << text;
 }
 
-TEST_F(ExplainTest, RowAndBatchEnginesAgreeOnDeterministicCounters) {
-  const std::string sql = "EXPLAIN ANALYZE SELECT k, v * 2 AS v2 FROM t "
-                          "WHERE v > 0 ORDER BY k";
-  std::string batch = ExplainLines(sql);
-  engine_.set_force_row_path(true);
-  std::string row = ExplainLines(sql);
-  engine_.set_force_row_path(false);
+TEST_F(ExplainTest, EngineAgreesWithReferenceOnDeterministicCounters) {
+  const std::string select = "SELECT k, v * 2 AS v2 FROM t WHERE v > 0 "
+                             "ORDER BY k";
+  std::string batch = ExplainLines("EXPLAIN ANALYZE " + select);
+  // The same plan through the reference interpreter, rendered the way
+  // EXPLAIN ANALYZE renders it (wall time left out).
+  auto parsed = sql::ParseSelect(select);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  sql::Binder binder(engine_.catalog());
+  auto bound = binder.BindSelect(*parsed.value());
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  obs::ProfileSink sink;
+  sink.DeclarePlan(*bound.value().plan);
+  ExecContext ctx;
+  ctx.resolve_scan = engine_.refresh_engine().MakeResolver(
+      clock_.Now(), /*exact_dt=*/false);
+  ctx.eval.current_time = clock_.Now();
+  ctx.profile = &sink;
+  ASSERT_TRUE(reference::Execute(*bound.value().plan, ctx).ok());
+  std::string row;
+  for (const std::string& line : obs::RenderAnalyzedPlanLines(
+           *bound.value().plan, sink, /*include_wall=*/false)) {
+    row += line + "\n";
+  }
   // The batch engine reports batches=...; strip that token too, then the
   // deterministic remainder (labels, rows_in/rows_out) must agree exactly.
   // Counter tokens are "  key=value" with a two-space separator; a batches
@@ -401,7 +416,7 @@ std::string ProfileFingerprint(int worker_threads) {
                     "op_tag, rows_in, rows_out, batches, join_build_hits, "
                     "join_build_misses, join_probe_hits, join_probe_misses, "
                     "batch_cache_hits, batch_cache_misses, sel_memo_hits, "
-                    "vector_bails, row_redos FROM refresh_profile('") +
+                    "row_redos FROM refresh_profile('") +
         dt + "')");
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (r.ok()) out += RenderResult(r.value());
@@ -436,12 +451,12 @@ TEST(ExecCountersTest, RegisteredDeterministicAndDeltaBased) {
   obs::EngineMetrics metrics(&engine, &reg);  // baseline snapshotted here
   sched.RunUntil(2 * kCanonicalBasePeriod);
   std::string text = reg.Snapshot().DeterministicText();
-  // All six exec-layer counters are registered as deterministic metrics even
-  // though profiling is disarmed.
+  // All five exec-layer counters are registered as deterministic metrics
+  // even though profiling is disarmed.
   for (const char* name :
        {"exec.join_cache.hits", "exec.join_cache.misses",
         "storage.batch_cache.hits", "storage.batch_cache.misses",
-        "exec.vector_bails", "exec.row_redos"}) {
+        "exec.row_redos"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name << "\n" << text;
   }
   // The refresh converted partitions to batches: the delta since

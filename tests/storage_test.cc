@@ -118,6 +118,30 @@ TEST(VersionedTableTest, RejectsInsertOfDuplicateRowId) {
   EXPECT_EQ(v.status().code(), StatusCode::kCorruption);
 }
 
+TEST(VersionedTableTest, RejectsInsertOfWrongWidthAndStaysUnchanged) {
+  VersionedTable t(TwoCol());
+  ASSERT_TRUE(t.ApplyChanges(t.MakeInsertChanges({R(1, "a")}), {10, 0}).ok());
+  const VersionId before = t.latest_version();
+  // One well-formed row next to a narrow one and a wide one: the whole
+  // change set is rejected, nothing is applied.
+  for (Row bad : {Row{Value::Int(2)},
+                  Row{Value::Int(3), Value::String("c"), Value::Int(0)}}) {
+    ChangeSet cs = t.MakeInsertChanges({R(4, "d"), bad});
+    EXPECT_EQ(t.ValidateChanges(cs).code(), StatusCode::kInvalidArgument);
+    auto v = t.ApplyChanges(cs, {20, 0});
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(v.status().message().find("table has 2 columns"),
+              std::string::npos)
+        << v.status().ToString();
+  }
+  EXPECT_EQ(t.latest_version(), before);
+  ASSERT_EQ(t.ScanLatest().size(), 1u);
+  EXPECT_TRUE(RowsEqual(t.ScanLatest()[0].values, R(1, "a")));
+  // Well-formed inserts still commit.
+  EXPECT_TRUE(t.ApplyChanges(t.MakeInsertChanges({R(2, "b")}), {30, 0}).ok());
+}
+
 TEST(VersionedTableTest, RejectsNonMonotonicCommitTimestamp) {
   VersionedTable t(TwoCol());
   ASSERT_TRUE(t.ApplyChanges(t.MakeInsertChanges({R(1, "a")}), {10, 0}).ok());

@@ -1,5 +1,5 @@
 // bench_dump — validator and summarizer for the BENCH_E*.json result files
-// written by bench::BenchJson (bench/bench_common.h):
+// written by bench::BenchJson (bench/bench_util.h):
 //
 //   $ bench_dump <BENCH_E21.json>           # validate + per-point summary
 //   $ bench_dump --quiet <BENCH_E21.json>   # validate only (CI artifact guard)
