@@ -11,8 +11,9 @@
 //      byte-identical (digest, row counts, sums) to a quiesced oracle
 //      re-read at the same resolved refresh timestamp.
 //   2. Admission: a bounded QueryService never exceeds its reader cap.
-//   3. Reporting: read p50/p99 latency and QPS land in BENCH_E19.json next
-//      to the fleet's refresh-lag percentiles (schema note in ROADMAP.md).
+//   3. Reporting: read p50/p99 latency and QPS per read kind (scan, point
+//      lookup) land in BENCH_E19.json next to the fleet's refresh-lag
+//      percentiles (schema note in ROADMAP.md).
 //
 // --smoke runs a small fleet for CI (tier-1 ctest + TSan); the default run
 // scales the generator to O(10k) DTs.
@@ -153,15 +154,17 @@ int main(int argc, char** argv) {
     bad += o.unexpected_errors;
     samples.insert(samples.end(), o.samples.begin(), o.samples.end());
   }
-  const double qps = wall_s > 0 ? static_cast<double>(ok) / wall_s : 0;
+  auto per_second = [wall_s](uint64_t n) {
+    return wall_s > 0 ? static_cast<double>(n) / wall_s : 0;
+  };
 
-  // Snapshot counters and percentiles now — the oracle phase below reuses
-  // the same service and would otherwise fold its re-reads into them.
+  // Snapshot counters and latencies now — the oracle phase below reuses
+  // the same service and would otherwise fold its re-reads into them. Each
+  // latency histogram counts its kind's successful reads, so its count over
+  // the concurrent phase is that kind's throughput.
   const serve::ServeStats stats = service.stats();
-  const double read_p50_ms = service.scan_latency().P50Us() / 1000.0;
-  const double read_p99_ms = service.scan_latency().P99Us() / 1000.0;
-  const double point_p50_ms = service.point_latency().P50Us() / 1000.0;
-  const double point_p99_ms = service.point_latency().P99Us() / 1000.0;
+  const obs::HistogramData scan_us = service.scan_latency().Export();
+  const obs::HistogramData point_us = service.point_latency().Export();
 
   // ---- Oracle: quiesced re-read at each sample's *resolved* refresh
   // timestamp must reproduce the concurrent result byte-for-byte.
@@ -205,7 +208,7 @@ int main(int argc, char** argv) {
 
   // ---- Refresh-lag percentiles from the same run, for side-by-side
   // freshness/latency reporting.
-  bench::StreamingHistogram trough_ms, peak_ms;
+  obs::HistogramData trough_ms, peak_ms;
   uint64_t committed = 0;
   for (const RefreshRecord& r : sched.log()) {
     if (r.skipped || r.failed) continue;
@@ -218,14 +221,16 @@ int main(int argc, char** argv) {
               "(%.0f QPS over %.2fs)\n",
               static_cast<unsigned long long>(ok),
               static_cast<unsigned long long>(misses),
-              static_cast<unsigned long long>(bad), qps, wall_s);
-  std::printf("scan  latency: p50 %.3f ms  p99 %.3f ms\n", read_p50_ms,
-              read_p99_ms);
-  std::printf("point latency: p50 %.3f ms  p99 %.3f ms\n", point_p50_ms,
-              point_p99_ms);
+              static_cast<unsigned long long>(bad), per_second(ok), wall_s);
+  for (const auto& [label, h] : {std::pair("scan", &scan_us),
+                                 std::pair("point", &point_us)}) {
+    std::printf("%-5s latency: p50 %.3f ms  p99 %.3f ms  (%.0f QPS)\n", label,
+                h->Quantile(0.50) / 1000.0, h->Quantile(0.99) / 1000.0,
+                per_second(h->count));
+  }
   std::printf("refresh lag:   trough p50 %.0f ms  peak p99 %.0f ms "
               "(%llu committed refreshes)\n",
-              trough_ms.P50(), peak_ms.P99(),
+              trough_ms.Quantile(0.50), peak_ms.Quantile(0.99),
               static_cast<unsigned long long>(committed));
   std::printf("oracle: %llu checked, %llu mismatched, %llu skipped\n",
               static_cast<unsigned long long>(oracle_checked),
@@ -247,12 +252,16 @@ int main(int argc, char** argv) {
       .Int("readers", kReaders)
       .Int("rounds", kRounds)
       .Bool("smoke", smoke);
-  bench::AddReadLatency(json.AddPoint("scan"), read_p50_ms, read_p99_ms, qps)
+  bench::AddReadLatency(json.AddPoint("scan"), scan_us.Quantile(0.50) / 1000.0,
+                        scan_us.Quantile(0.99) / 1000.0,
+                        per_second(scan_us.count))
       .Int("queries", static_cast<int64_t>(ok))
-      .Num("refresh_trough_p50_ms", trough_ms.P50())
-      .Num("refresh_peak_p99_ms", peak_ms.P99());
-  bench::AddReadLatency(json.AddPoint("point_lookup"), point_p50_ms,
-                        point_p99_ms, qps)
+      .Num("refresh_trough_p50_ms", trough_ms.Quantile(0.50))
+      .Num("refresh_peak_p99_ms", peak_ms.Quantile(0.99));
+  bench::AddReadLatency(json.AddPoint("point_lookup"),
+                        point_us.Quantile(0.50) / 1000.0,
+                        point_us.Quantile(0.99) / 1000.0,
+                        per_second(point_us.count))
       .Int("cache_hits", static_cast<int64_t>(stats.cache_hits))
       .Int("cache_misses", static_cast<int64_t>(stats.cache_misses));
   json.WriteFile();

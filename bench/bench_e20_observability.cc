@@ -10,7 +10,7 @@
 //      MetricsSnapshot::DeterministicText() plus the rendered introspection
 //      query output.
 //   2. Cost: tracing is free when disarmed. An unarmed TraceSpan is one
-//      relaxed atomic load; this bench measures that cost directly and
+//      atomic load; this bench measures that cost directly and
 //      models armed-site overhead as offered_spans x per_span_cost over the
 //      disarmed run's wall time, gated < 5%.
 //
@@ -145,8 +145,9 @@ RunOutcome RunWorkload(const RunConfig& cfg) {
       if (service.Execute(q).ok()) out.reads_ok += 1;
     }
     const double read_s = read_timer.Seconds();
-    out.read_p50_ms = service.scan_latency().P50Us() / 1000.0;
-    out.read_p99_ms = service.scan_latency().P99Us() / 1000.0;
+    const obs::HistogramData scan_us = service.scan_latency().Export();
+    out.read_p50_ms = scan_us.Quantile(0.50) / 1000.0;
+    out.read_p99_ms = scan_us.Quantile(0.99) / 1000.0;
     out.qps = read_s > 0 ? static_cast<double>(out.reads_ok) / read_s : 0;
     // Scrape serve-backed metrics while the service (whose callbacks feed
     // them) is still alive; only deterministic lines survive the gate.
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
                "arming the recorder does not perturb deterministic metrics");
 
   // ---- Pass 4: disarmed span cost. The recorder is uninstalled again, so
-  // each TraceSpan here is the real hot-path cost: one relaxed atomic load
+  // each TraceSpan here is the real hot-path cost: one atomic load
   // at construction, a null check at destruction.
   const int kSpanIters = 1 << 22;
   uint64_t sink = 0;

@@ -11,7 +11,7 @@
 //      and byte-identical deterministic metrics including the exec.* /
 //      storage.batch_cache.* counters this PR registers.
 //   2. Cost: profiling is free when disarmed. Every hook site is one
-//      relaxed atomic load (ProfilingArmed) or one pointer null check; this
+//      atomic load (ProfilingArmed) or one pointer null check; this
 //      bench measures the load directly and models armed-site overhead as
 //      offered_checks x per_check_cost over the armed run's wall time,
 //      gated < 5%.
@@ -97,7 +97,7 @@ RunOutcome RunWorkload(const RunConfig& cfg) {
   Scheduler sched(&engine, &clock, sopts);
   obs::EngineMetrics engine_metrics(&engine, &registry);
 
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
 
   Rng rng(21);
   workload::FleetOptions fopts;
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
                "rows_processed nonzero and unchanged across worker counts");
 
   // ---- Pass 3: disarmed hook cost. With no ScopedProfiling in scope every
-  // hook site reduces to the ProfilingArmed relaxed load measured here (the
+  // hook site reduces to the ProfilingArmed atomic load measured here (the
   // per-operator sites are a pointer null check, which is no dearer).
   const int kCheckIters = 1 << 22;
   uint64_t sink = 0;

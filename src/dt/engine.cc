@@ -324,7 +324,12 @@ Result<QueryResult> DvsEngine::ExecuteCreateDt(
 
   if (stmt.initialize_on_create) {
     auto init = refresh_.Initialize(id, clock_.Now());
-    if (!init.ok()) return init.status();
+    if (!init.ok()) {
+      // A CREATE whose initializing refresh fails creates nothing: drop the
+      // new DT (journaled like any DROP) so the scheduler never sees it.
+      (void)catalog_.DropObject(stmt.name, txn_.NextCommitTimestamp());
+      return init.status();
+    }
   }
 
   QueryResult out;

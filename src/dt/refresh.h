@@ -168,15 +168,11 @@ class RefreshEngine {
   /// Resolver pinned to explicit per-source versions — the frontier
   /// mechanism of §5.3. Wall-time resolution is ambiguous when several
   /// commits share a physical clock tick; refreshes must read the *exact*
-  /// versions recorded at interval endpoints.
-  ScanResolver MakeVersionResolver(
-      std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions);
-
-  /// Columnar twin of MakeVersionResolver: resolves the same pinned versions
-  /// as column batches. `cache` memoizes per-partition conversions; an
-  /// incremental refresh passes ONE cache to both endpoint resolvers, so
-  /// partitions unchanged over the interval produce pointer-identical
-  /// batches at both ends (the batch engine's cross-endpoint cache key).
+  /// versions recorded at interval endpoints. `cache` memoizes per-partition
+  /// batch conversions; an incremental refresh passes ONE cache to both
+  /// endpoint resolvers, so partitions unchanged over the interval produce
+  /// pointer-identical batches at both ends (the batch engine's
+  /// cross-endpoint cache key).
   BatchScanResolver MakeBatchVersionResolver(
       std::shared_ptr<const std::unordered_map<ObjectId, VersionId>> versions,
       std::shared_ptr<PartitionBatchCache> cache);
@@ -188,6 +184,15 @@ class RefreshEngine {
       const CatalogObject& obj,
       const std::unordered_map<ObjectId, VersionId>& versions, Micros ts,
       uint64_t* rows_processed, obs::ProfileSink* profile);
+
+  /// The INCREMENTAL derivative (§5.5): the changes that move the DT from
+  /// its frontier to `versions`. Fills `dctx` (the caller's, with its
+  /// profile set) with the interval's deltas and endpoint resolvers, and
+  /// `out` with the work and change statistics.
+  Result<ChangeSet> ComputeIncremental(
+      const CatalogObject& obj,
+      const std::unordered_map<ObjectId, VersionId>& versions, Micros ts,
+      DeltaContext* dctx, RefreshOutcome* out);
 
   /// Applies a user-error to the DT's failure accounting.
   void RecordFailure(CatalogObject* obj);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <set>
 
 #include "exec/row_id.h"
@@ -630,13 +629,11 @@ Result<BatchVector> AggregateBatchesImpl(const PlanNode& n,
 // ---- Dispatch ----
 
 Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
-  // One span per operator execution; disarmed cost is a single relaxed
-  // atomic load per plan node, amortized over the whole batch stream.
+  // One span and one profile timer per operator execution; disarmed, they
+  // cost one atomic load and one null check per plan node, amortized over
+  // the whole batch stream.
   obs::TraceSpan span("exec", PlanKindName(n.kind));
-  // Profile timing is taken only when a sink is attached; the disarmed cost
-  // of the hook is this one null check.
-  std::chrono::steady_clock::time_point prof_start;
-  if (env.profile != nullptr) prof_start = std::chrono::steady_clock::now();
+  obs::OpTimer timer(env.profile, n.node_tag);
   Result<BatchVector> result = [&]() -> Result<BatchVector> {
     switch (n.kind) {
       case PlanKind::kValues: {
@@ -698,15 +695,7 @@ Result<BatchVector> ExecB(const PlanNode& n, const BatchExecEnv& env) {
     const uint64_t rows = BatchRowCount(result.value());
     env.rows_processed += rows;
     if (span.armed()) span.AddArg("rows", static_cast<int64_t>(rows));
-    if (env.profile != nullptr) {
-      obs::OpStats* s = env.profile->Node(n.node_tag);
-      s->rows_out += rows;
-      s->batches += result.value().size();
-      s->wall_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - prof_start)
-              .count());
-    }
+    timer.Record(rows, result.value().size());
   }
   return result;
 }

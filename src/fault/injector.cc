@@ -28,8 +28,6 @@ double Decide(uint64_t seed, std::string_view site, std::string_view scope,
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-std::atomic<FaultInjector*> g_injector{nullptr};
-
 }  // namespace
 
 void FaultInjector::Arm(const std::string& site, SiteConfig config) {
@@ -122,19 +120,6 @@ uint64_t FaultInjector::total_fires() const {
   for (const auto& [name, state] : sites_) total += state.stats.fires;
   return total;
 }
-
-FaultInjector* ActiveInjector() {
-  return g_injector.load(std::memory_order_acquire);
-}
-
-FaultInjector* InstallInjector(FaultInjector* injector) {
-  return g_injector.exchange(injector, std::memory_order_acq_rel);
-}
-
-ScopedInjector::ScopedInjector(FaultInjector* injector)
-    : previous_(InstallInjector(injector)) {}
-
-ScopedInjector::~ScopedInjector() { InstallInjector(previous_); }
 
 }  // namespace fault
 }  // namespace dvs

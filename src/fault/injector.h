@@ -24,14 +24,14 @@
 //    exercises torn-tail truncation and `wal_dump --verify`).
 //
 // Wiring: instrumented layers read one process-global injector pointer
-// (ActiveInjector), installed by tests/benches via ScopedInjector. The
-// pointer is atomic and the registry's state is mutex-guarded, so armed
-// sites stay TSan-clean under concurrent refresh workers.
+// (ActiveInjector, a common/global_hook.h GlobalHook), installed by
+// tests/benches via ScopedInjector. The pointer is atomic and the registry's
+// state is mutex-guarded, so armed sites stay TSan-clean under concurrent
+// refresh workers.
 
 #ifndef DVS_FAULT_INJECTOR_H_
 #define DVS_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -39,6 +39,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/global_hook.h"
 #include "common/status.h"
 
 namespace dvs {
@@ -131,29 +132,16 @@ class FaultInjector {
 };
 
 /// The process-global injector the instrumented layers consult. Null (the
-/// default) disables injection at the cost of one relaxed atomic load.
-FaultInjector* ActiveInjector();
-
-/// Installs `injector` as the process-global one (null uninstalls) and
-/// returns the previously installed pointer. ScopedInjector is the RAII
-/// form; this free function is for harnesses that install / remove the
-/// injector at controlled mid-run points (e.g. between scheduler ticks).
-FaultInjector* InstallInjector(FaultInjector* injector);
-
-/// Installs `injector` as the process-global one for this object's lifetime
-/// (restores the previous pointer on destruction). Install before starting
-/// refresh workers and keep installed until they drain — swapping the global
-/// mid-execute-phase is a race by construction.
-class ScopedInjector {
- public:
-  explicit ScopedInjector(FaultInjector* injector);
-  ~ScopedInjector();
-  ScopedInjector(const ScopedInjector&) = delete;
-  ScopedInjector& operator=(const ScopedInjector&) = delete;
-
- private:
-  FaultInjector* previous_;
-};
+/// default) disables injection at the cost of one atomic load.
+/// InstallInjector is for harnesses that install / remove the injector at
+/// controlled mid-run points (e.g. between scheduler ticks); ScopedInjector
+/// is the RAII form.
+using InjectorHook = GlobalHook<FaultInjector*, FaultInjector>;
+inline FaultInjector* ActiveInjector() { return InjectorHook::Get(); }
+inline FaultInjector* InstallInjector(FaultInjector* injector) {
+  return InjectorHook::Install(injector);
+}
+using ScopedInjector = InjectorHook::Scoped;
 
 }  // namespace fault
 }  // namespace dvs

@@ -1,7 +1,6 @@
 #include "ivm/differentiator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 #include "common/key_hash.h"
@@ -569,19 +568,11 @@ Result<ChangeSet> DeltaWindow(const PlanNode& n, const DeltaContext& ctx) {
 }
 
 Result<ChangeSet> Delta(const PlanNode& n, const DeltaContext& ctx) {
-  std::chrono::steady_clock::time_point prof_start;
-  if (ctx.profile != nullptr) prof_start = std::chrono::steady_clock::now();
+  obs::OpTimer timer(ctx.profile, n.node_tag);
   Result<ChangeSet> result = DeltaImpl(n, ctx);
   if (result.ok()) {
     ctx.rows_processed += result.value().size();
-    if (ctx.profile != nullptr) {
-      obs::OpStats* s = ctx.profile->Node(n.node_tag);
-      s->rows_out += result.value().size();
-      s->wall_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - prof_start)
-              .count());
-    }
+    timer.Record(result.value().size(), /*batches=*/0);
   }
   return result;
 }

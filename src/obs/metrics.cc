@@ -1,18 +1,17 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 namespace dvs {
 namespace obs {
 
-// ---- Bucket math (shared layout with serve::LatencyHistogram and
-// bench::StreamingHistogram; keep the three in lockstep) ----
+// ---- Bucket math ----
 
 size_t HistogramData::BucketIndex(uint64_t v) {
   if (v < kSubBuckets) return static_cast<size_t>(v);
-  int octave = 0;
-  for (uint64_t x = v; x > 1; x >>= 1) ++octave;  // floor(log2(v)), >= 3
+  const int octave = std::bit_width(v) - 1;  // floor(log2(v)), >= 3
   const size_t sub = static_cast<size_t>(v >> (octave - 3)) & 7;
   return kSubBuckets + static_cast<size_t>(octave - 3) * kSubBuckets + sub;
 }

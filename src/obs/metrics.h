@@ -13,11 +13,10 @@
 //               is why StorageStats migrated onto it field-for-field.
 //  - Gauge:     int64 set/add/max, relaxed-atomic.
 //  - Histogram: log-spaced buckets (8 linear sub-buckets per power-of-two
-//               octave), relaxed-atomic record. The bucket math is shared
-//               byte-for-byte with serve::LatencyHistogram and
-//               bench::StreamingHistogram, so either can export into a
-//               registry histogram bucket-wise (HistogramData) without
-//               re-recording.
+//               octave), relaxed-atomic record. It is the one concurrent
+//               histogram (serve read latencies record into it too);
+//               HistogramData is its plain single-threaded form, used by
+//               benches and as the scrape format.
 //
 // Determinism contract: every metric declares `deterministic` at
 // registration. Deterministic metrics derive only from virtual-time work
@@ -97,9 +96,9 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// Plain (non-atomic) histogram contents: the interchange format between the
-/// three histogram implementations (obs::Histogram, serve::LatencyHistogram,
-/// bench::StreamingHistogram), all of which share this bucket layout.
+/// Plain (non-atomic) histogram: what Histogram::Export returns and what a
+/// single-threaded caller (a bench aggregating refresh lags) records into
+/// directly.
 struct HistogramData {
   /// 8 exact buckets for 0..7, then 8 sub-buckets per octave up to 2^63.
   static constexpr size_t kSubBuckets = 8;
@@ -121,7 +120,8 @@ struct HistogramData {
 };
 
 /// Concurrent histogram instrument: relaxed-atomic Record plus bucket-wise
-/// Merge from any HistogramData exported by the serve/bench twins.
+/// Merge of a HistogramData. Export is safe concurrently with writers but
+/// only approximately consistent mid-flight; it is exact once they stop.
 class Histogram {
  public:
   Histogram() = default;

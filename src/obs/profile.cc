@@ -1,7 +1,6 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <functional>
 
@@ -9,8 +8,6 @@ namespace dvs {
 namespace obs {
 
 namespace {
-
-std::atomic<bool> g_profiling{false};
 
 thread_local OpStats* t_scan_target = nullptr;
 
@@ -147,14 +144,6 @@ std::string OpLabel(const PlanNode& n) {
       break;
   }
   return label;
-}
-
-// ---- Arming ----
-
-bool ProfilingArmed() { return g_profiling.load(std::memory_order_relaxed); }
-
-bool InstallProfiling(bool armed) {
-  return g_profiling.exchange(armed, std::memory_order_acq_rel);
 }
 
 // ---- Scan attribution ----

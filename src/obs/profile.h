@@ -14,12 +14,13 @@
 // reporting artifact, excluded from every byte-compare (DeterministicText
 // renders without it).
 //
-// Arming follows the `ActiveInjector` / ScopedTraceRecorder pattern: one
-// process-global atomic flag, installed by benches/tools/tests via
-// ScopedProfiling. RefreshEngine allocates a RefreshProfile per attempt only
-// while armed; a disarmed refresh pays one relaxed atomic load, and a
-// disarmed hook site inside the engines pays one null-pointer check (the
-// sink pointer in ExecContext / BatchExecEnv / DeltaContext stays null).
+// Arming is a common/global_hook.h GlobalHook, like the fault injector and
+// the trace recorder: one process-global atomic flag, installed by
+// benches/tools/tests via ScopedProfiling. RefreshEngine allocates a
+// RefreshProfile per attempt only while armed; a disarmed refresh pays one
+// atomic load, and a disarmed hook site inside the engines (OpTimer) pays
+// one null-pointer check (the sink pointer in ExecContext / BatchExecEnv /
+// DeltaContext stays null).
 // EXPLAIN ANALYZE arms per-execution by passing its own sink, independent of
 // the global flag.
 //
@@ -32,12 +33,14 @@
 #ifndef DVS_OBS_PROFILE_H_
 #define DVS_OBS_PROFILE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/global_hook.h"
 #include "obs/metrics.h"
 #include "plan/logical_plan.h"
 
@@ -123,6 +126,33 @@ class ProfileSink {
   std::unordered_map<uint64_t, OpStats> stats_;
 };
 
+/// Times one operator execution for a profile — the one timing hook of the
+/// batch engine's ExecB and the differentiator's Delta. Reads the steady
+/// clock only when a sink is attached (a disarmed site is one null check);
+/// Record charges a successful execution's output and wall time to `tag`.
+class OpTimer {
+ public:
+  OpTimer(ProfileSink* sink, uint64_t tag) : sink_(sink), tag_(tag) {
+    if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+
+  void Record(uint64_t rows_out, uint64_t batches) const {
+    if (sink_ == nullptr) return;
+    OpStats* s = sink_->Node(tag_);
+    s->rows_out += rows_out;
+    s->batches += batches;
+    s->wall_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+  }
+
+ private:
+  ProfileSink* sink_;
+  uint64_t tag_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// One operator line (shared by ProfileSink::Render and EXPLAIN): label
 /// followed by the nonzero counter groups.
 std::string FormatOpStats(const OpStats& s, uint64_t rows_in,
@@ -151,24 +181,14 @@ inline constexpr size_t kProfileRingCapacity = 8;
 
 // ---- Global arming ----
 
-/// True when refresh profiling is armed. One relaxed atomic load.
-bool ProfilingArmed();
-
-/// Arms/disarms refresh profiling; returns the previous state.
-bool InstallProfiling(bool armed);
-
-/// RAII arm/restore, mirroring ScopedTraceRecorder.
-class ScopedProfiling {
- public:
-  explicit ScopedProfiling(bool armed = true)
-      : previous_(InstallProfiling(armed)) {}
-  ~ScopedProfiling() { InstallProfiling(previous_); }
-  ScopedProfiling(const ScopedProfiling&) = delete;
-  ScopedProfiling& operator=(const ScopedProfiling&) = delete;
-
- private:
-  bool previous_;
-};
+/// True when refresh profiling is armed (one atomic load); InstallProfiling
+/// returns the previous state; ScopedProfiling is the RAII form.
+using ProfilingHook = GlobalHook<bool, RefreshProfile>;
+inline bool ProfilingArmed() { return ProfilingHook::Get(); }
+inline bool InstallProfiling(bool armed) {
+  return ProfilingHook::Install(armed);
+}
+using ScopedProfiling = ProfilingHook::Scoped;
 
 // ---- Scan attribution ----
 

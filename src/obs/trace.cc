@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -21,8 +22,6 @@ uint32_t CurrentTraceTid() {
   thread_local uint32_t tid = next.fetch_add(1, std::memory_order_relaxed);
   return tid;
 }
-
-std::atomic<TraceRecorder*> g_recorder{nullptr};
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
@@ -135,14 +134,6 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
     return Unavailable("short write to trace file: " + path);
   }
   return OkStatus();
-}
-
-TraceRecorder* ActiveTraceRecorder() {
-  return g_recorder.load(std::memory_order_relaxed);
-}
-
-TraceRecorder* InstallTraceRecorder(TraceRecorder* recorder) {
-  return g_recorder.exchange(recorder, std::memory_order_acq_rel);
 }
 
 TraceSpan::TraceSpan(const char* category, const char* name,

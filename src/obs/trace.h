@@ -6,12 +6,12 @@
 //   obs::TraceSpan span("sched", "tick.execute");
 //   if (span.armed()) span.AddArg("due", static_cast<int64_t>(nodes.size()));
 //
-// Arming follows the `ActiveInjector` pattern from src/fault/injector.h:
+// Arming is a common/global_hook.h GlobalHook, like the fault injector's:
 // one process-global atomic recorder pointer, installed by benches/tools via
-// ScopedTraceRecorder. A span at an *unarmed* site costs exactly one relaxed
-// atomic load — no clock read, no allocation, no branch beyond the null
-// check — which is what keeps tracing's disarmed overhead on the refresh hot
-// path under the E20 gate. When armed, the span captures wall time at
+// ScopedTraceRecorder. A span at an *unarmed* site costs exactly one atomic
+// load — no clock read, no allocation, no branch beyond the null check —
+// which is what keeps tracing's disarmed overhead on the refresh hot path
+// under the E20 gate. When armed, the span captures wall time at
 // construction and records one complete ("ph":"X") event at destruction.
 //
 // Span taxonomy (category / name):
@@ -28,13 +28,13 @@
 #ifndef DVS_OBS_TRACE_H_
 #define DVS_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/global_hook.h"
 #include "common/status.h"
 
 namespace dvs {
@@ -85,24 +85,15 @@ class TraceRecorder {
   size_t dropped_ = 0;
 };
 
-/// The armed recorder, or nullptr. One relaxed atomic load.
-TraceRecorder* ActiveTraceRecorder();
-
-/// Installs `recorder` (nullptr disarms); returns the previous one.
-TraceRecorder* InstallTraceRecorder(TraceRecorder* recorder);
-
-/// RAII install/restore, mirroring fault::ScopedInjector.
-class ScopedTraceRecorder {
- public:
-  explicit ScopedTraceRecorder(TraceRecorder* recorder)
-      : previous_(InstallTraceRecorder(recorder)) {}
-  ~ScopedTraceRecorder() { InstallTraceRecorder(previous_); }
-  ScopedTraceRecorder(const ScopedTraceRecorder&) = delete;
-  ScopedTraceRecorder& operator=(const ScopedTraceRecorder&) = delete;
-
- private:
-  TraceRecorder* previous_;
-};
+/// The armed recorder, or nullptr (one atomic load); InstallTraceRecorder
+/// (nullptr disarms) returns the previous one; ScopedTraceRecorder is the
+/// RAII form.
+using TraceHook = GlobalHook<TraceRecorder*, TraceRecorder>;
+inline TraceRecorder* ActiveTraceRecorder() { return TraceHook::Get(); }
+inline TraceRecorder* InstallTraceRecorder(TraceRecorder* recorder) {
+  return TraceHook::Install(recorder);
+}
+using ScopedTraceRecorder = TraceHook::Scoped;
 
 /// RAII span. `category` and `name` must be static strings; `scope` is
 /// copied only when armed, so passing a string_view of a live object is

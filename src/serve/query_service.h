@@ -42,7 +42,7 @@
 
 #include "dt/engine.h"
 #include "exec/column_batch.h"
-#include "serve/latency.h"
+#include "obs/metrics.h"
 #include "storage/versioned_table.h"
 
 namespace dvs {
@@ -126,8 +126,10 @@ class QueryService {
   /// Executes one snapshot read. Thread-safe; any number of callers.
   Result<ReadResult> Execute(const ReadQuery& query);
 
-  const LatencyHistogram& point_latency() const { return point_latency_; }
-  const LatencyHistogram& scan_latency() const { return scan_latency_; }
+  /// Latencies (us) of successful reads, by kind. Read quantiles through
+  /// Export().
+  const obs::Histogram& point_latency() const { return point_latency_; }
+  const obs::Histogram& scan_latency() const { return scan_latency_; }
   ServeStats stats() const;
 
   const ServeOptions& options() const { return options_; }
@@ -167,8 +169,8 @@ class QueryService {
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> cache_evictions_{0};
 
-  LatencyHistogram point_latency_;
-  LatencyHistogram scan_latency_;
+  obs::Histogram point_latency_;
+  obs::Histogram scan_latency_;
 };
 
 }  // namespace serve

@@ -1,112 +1,29 @@
-// Tests for bench/bench_util.h helpers. The StreamingHistogram feeds every
-// percentile number the experiment binaries report (E19's read latencies,
-// refresh-lag distributions), so its error bound — within half a sub-bucket,
-// <= ~7% relative — is itself a tested contract, checked against exact
-// sorted-sample percentiles.
+// Tests for bench/bench_util.h helpers: the BenchJson encoding every
+// BENCH_E*.json file goes through, and the read-latency keys E19 and E20
+// share. (The percentiles the benches report come from obs::HistogramData,
+// tested in obs_test.)
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "bench_util.h"
-#include "common/rng.h"
 
 namespace dvs {
 namespace {
 
-// Same rank convention as StreamingHistogram::Quantile (smallest value with
-// cumulative count >= ceil(q*n)), so on cliff-shaped distributions the two
-// differ only by bucket resolution, never by a rank-off-by-one.
-double ExactQuantile(std::vector<int64_t> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double n = static_cast<double>(values.size());
-  size_t target = static_cast<size_t>(q * n + 0.999999);
-  if (target == 0) target = 1;
-  if (target > values.size()) target = values.size();
-  return static_cast<double>(values[target - 1]);
+TEST(BenchJsonTest, ObjEncodesTypedFieldsInOrder) {
+  bench::BenchJson::Obj o;
+  o.Int("n", -3).Num("x", 0.5).Bool("ok", true).Str("s", "a\"b\\c\nd");
+  EXPECT_EQ(o.ToJson(),
+            R"({"n": -3, "x": 0.5, "ok": true, "s": "a\"b\\c\nd"})");
 }
 
-TEST(StreamingHistogramTest, EmptyAndSingleValue) {
-  bench::StreamingHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.Mean(), 0.0);
-
-  h.Add(42);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max(), 42);
-  EXPECT_NEAR(h.Quantile(0.0), 42.0, 3.0);
-  EXPECT_NEAR(h.Quantile(1.0), 42.0, 3.0);
-  EXPECT_EQ(h.Mean(), 42.0);
-}
-
-TEST(StreamingHistogramTest, SmallValuesAreExact) {
-  bench::StreamingHistogram h;
-  for (int64_t v = 0; v < 8; ++v) {
-    for (int i = 0; i <= v; ++i) h.Add(v);  // value v appears v+1 times
-  }
-  // Values below 8 land in unit-width buckets: quantiles are exact.
-  EXPECT_EQ(h.Quantile(0.99), 7.0);
-  EXPECT_EQ(h.Quantile(0.01), 0.0);
-  EXPECT_EQ(h.max(), 7);
-}
-
-TEST(StreamingHistogramTest, QuantilesTrackExactPercentiles) {
-  Rng rng(1234);
-  bench::StreamingHistogram h;
-  std::vector<int64_t> values;
-  // A skewed mix: mostly small, a heavy tail — the shape latencies have.
-  for (int i = 0; i < 20000; ++i) {
-    int64_t v = rng.Bernoulli(0.95) ? rng.Uniform(10, 2000)
-                                    : rng.Uniform(2000, 500000);
-    values.push_back(v);
-    h.Add(v);
-  }
-  EXPECT_EQ(h.count(), values.size());
-  for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double exact = ExactQuantile(values, q);
-    EXPECT_NEAR(h.Quantile(q), exact, 0.08 * exact) << "q=" << q;
-  }
-}
-
-TEST(StreamingHistogramTest, MergeEqualsCombinedStream) {
-  Rng rng(99);
-  bench::StreamingHistogram a, b, combined;
-  for (int i = 0; i < 5000; ++i) {
-    int64_t v = rng.Uniform(0, 100000);
-    (i % 2 ? a : b).Add(v);
-    combined.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.max(), combined.max());
-  EXPECT_EQ(a.Mean(), combined.Mean());
-  for (double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(a.Quantile(q), combined.Quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(StreamingHistogramTest, BucketMathRoundTrips) {
-  // Every bucket's midpoint maps back into that bucket, and a value's
-  // midpoint is within half a sub-bucket width of the value.
-  for (uint64_t v : {0ull, 1ull, 7ull, 8ull, 9ull, 63ull, 64ull, 1000ull,
-                     123456789ull}) {
-    const size_t idx = bench::StreamingHistogram::BucketIndex(v);
-    const double mid = bench::StreamingHistogram::BucketMidpoint(idx);
-    EXPECT_NEAR(mid, static_cast<double>(v),
-                std::max(1.0, 0.07 * static_cast<double>(v)))
-        << "v=" << v;
-    EXPECT_EQ(bench::StreamingHistogram::BucketIndex(
-                  static_cast<uint64_t>(mid)),
-              idx)
-        << "v=" << v;
-  }
-  // Negatives clamp to zero rather than indexing out of range.
-  bench::StreamingHistogram h;
-  h.Add(-5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
+TEST(BenchJsonTest, PointLeadsWithKindAndReadLatencyKeys) {
+  bench::BenchJson json("T", "test");
+  bench::BenchJson::Obj& point =
+      bench::AddReadLatency(json.AddPoint("scan"), 1.5, 2.5, 100);
+  EXPECT_EQ(point.ToJson(),
+            R"({"kind": "scan", "read_p50_ms": 1.5, "read_p99_ms": 2.5, )"
+            R"("qps": 100})");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "dt/engine.h"
 #include "persist/retention.h"
+#include "sched/scheduler.h"
 
 namespace dvs {
 namespace {
@@ -334,6 +335,12 @@ TEST_F(EngineTest, ReplacedUpstreamTriggersReinitialize) {
   EXPECT_EQ(outcome.value().action, RefreshAction::kReinitialize);
   EXPECT_EQ(Q("SELECT * FROM dt").rows.size(), 2u);
   ExpectDvsInvariant("dt");
+
+  // The reinitialization is done once: the next change refreshes
+  // incrementally.
+  Exec("INSERT INTO src VALUES (9)");
+  EXPECT_EQ(ManualRefresh("dt").action, RefreshAction::kIncremental);
+  ExpectDvsInvariant("dt");
 }
 
 TEST_F(EngineTest, TimeTravelAcrossSchemaChangingRebindFailsCleanly) {
@@ -366,8 +373,8 @@ TEST_F(EngineTest, TimeTravelAcrossSchemaChangingRebindFailsCleanly) {
 
 TEST_F(EngineTest, VolatileFunctionWithoutEntropySurfacesUserError) {
   // No production context carries an entropy source, so RANDOM() over a
-  // non-empty source fails with the scalar evaluator's error, both in a DT
-  // refresh and in a QueryAsOf read.
+  // non-empty source fails with the scalar evaluator's error: in a CREATE's
+  // initializing refresh, in a later refresh, and in a QueryAsOf read.
   Exec("CREATE TABLE src (v INT)");
   Exec("INSERT INTO src VALUES (1), (2)");
   const std::string kError =
@@ -377,6 +384,20 @@ TEST_F(EngineTest, VolatileFunctionWithoutEntropySurfacesUserError) {
       "AS SELECT v, random() AS r FROM src");
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().ToString(), kError);
+
+  // A failed CREATE creates nothing: the name does not resolve and the
+  // scheduler has nothing to refresh.
+  EXPECT_FALSE(engine_.ObjectIdOf("dt").ok());
+  Scheduler sched(&engine_, &clock_);
+  sched.RunUntil(clock_.Now() + 3 * kMicrosPerMinute);
+  EXPECT_TRUE(sched.log().empty());
+
+  // Over an empty source the CREATE succeeds; the first refresh that
+  // evaluates random() fails with the same error.
+  Exec("CREATE TABLE empty_src (v INT)");
+  Exec("CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "AS SELECT v, random() AS r FROM empty_src");
+  Exec("INSERT INTO empty_src VALUES (1)");
   clock_.Advance(kMicrosPerMinute);
   auto refreshed = engine_.refresh_engine().Refresh(
       engine_.ObjectIdOf("dt").value(), clock_.Now());

@@ -103,7 +103,7 @@ TEST(ProfileSinkTest, RenderDeterministicListsCounters) {
 TEST(ProfileArmingTest, ScopedInstallAndRestore) {
   EXPECT_FALSE(obs::ProfilingArmed());
   {
-    obs::ScopedProfiling armed;
+    obs::ScopedProfiling armed(true);
     EXPECT_TRUE(obs::ProfilingArmed());
     {
       obs::ScopedProfiling disarmed(false);
@@ -138,7 +138,7 @@ class ProfileEngineTest : public ::testing::Test {
 };
 
 TEST_F(ProfileEngineTest, ArmedRefreshRetainsProfiles) {
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
   Exec("CREATE TABLE t (k INT, v INT)");
   Exec("CREATE DYNAMIC TABLE dt1 TARGET_LAG = '48 seconds' "
        "WAREHOUSE = wh AS SELECT k, v FROM t WHERE v > 0");
@@ -176,7 +176,7 @@ TEST_F(ProfileEngineTest, DisarmedRefreshRetainsNothing) {
 }
 
 TEST_F(ProfileEngineTest, RingIsBounded) {
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
   Exec("CREATE TABLE t (k INT, v INT)");
   Exec("CREATE DYNAMIC TABLE dt1 TARGET_LAG = '48 seconds' "
        "WAREHOUSE = wh AS SELECT k, v FROM t");
@@ -192,7 +192,7 @@ TEST_F(ProfileEngineTest, RingIsBounded) {
 }
 
 TEST_F(ProfileEngineTest, FailedRefreshRetainsFailureProfile) {
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
   Exec("CREATE TABLE t (k INT, v INT)");
   Exec("CREATE DYNAMIC TABLE dt1 TARGET_LAG = '48 seconds' "
        "WAREHOUSE = wh AS SELECT k, v FROM t");
@@ -258,6 +258,7 @@ TEST_F(ExplainTest, ExplainAnalyzeAnnotatesCounters) {
   EXPECT_NE(text.find("rows_out=2"), std::string::npos) << text;
   EXPECT_NE(text.find("rows_out=3"), std::string::npos) << text;
   EXPECT_NE(text.find("rows_in=3"), std::string::npos) << text;
+  EXPECT_NE(text.find("batches=1"), std::string::npos) << text;
 }
 
 TEST_F(ExplainTest, EngineAgreesWithReferenceOnDeterministicCounters) {
@@ -385,7 +386,7 @@ TEST_F(RefreshProfileSqlTest, RejectedInsideDefinitions) {
 // ---- Worker-count invariance of deterministic profile counters ----
 
 std::string ProfileFingerprint(int worker_threads) {
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
   VirtualClock clock(0);
   DvsEngine engine(clock);
   SchedulerOptions opts;
@@ -467,7 +468,7 @@ TEST(ExecCountersTest, RegisteredDeterministicAndDeltaBased) {
 // ---- Concurrent scrape (TSan target) ----
 
 TEST(ProfileConcurrencyTest, ScrapeWhileSchedulerRuns) {
-  obs::ScopedProfiling armed;
+  obs::ScopedProfiling armed(true);
   VirtualClock clock(0);
   DvsEngine engine(clock);
   SchedulerOptions opts;

@@ -213,6 +213,37 @@ TEST(RecoveryDdlTest, DropUndropCloneReplaceSurviveRestart) {
   }
 }
 
+TEST(RecoveryDdlTest, FailedCreateLeavesNoDtAcrossRestart) {
+  // A CREATE whose initializing refresh fails drops its DT again; replaying
+  // the journal (create, failure, drop) rebuilds the same image.
+  const std::string dir = UniqueDir("failed_create");
+  VirtualClock clock(0);
+  DvsEngine engine(clock);
+  auto manager = Manager::Open({dir}).take();
+  ASSERT_TRUE(manager->Attach(&engine).ok());
+
+  Exec(engine, "CREATE TABLE t (a INT)");
+  Exec(engine, "INSERT INTO t VALUES (1), (2)");
+  auto created = engine.Execute(
+      "CREATE DYNAMIC TABLE dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+      "AS SELECT a, random() AS r FROM t");
+  ASSERT_FALSE(created.ok());
+  EXPECT_FALSE(engine.ObjectIdOf("dt").ok());
+  Exec(engine,
+       "CREATE DYNAMIC TABLE ok_dt TARGET_LAG = '1 minute' WAREHOUSE = wh "
+       "AS SELECT a FROM t");
+
+  std::string live_fp = Fingerprint(engine, nullptr);
+  VirtualClock rclock(0);
+  auto recovered = Recover(dir, &rclock);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  rclock.AdvanceTo(clock.Now());
+  EXPECT_EQ(Fingerprint(*recovered.value().engine, nullptr), live_fp);
+  EXPECT_FALSE(recovered.value().engine->ObjectIdOf("dt").ok());
+  ExpectSameRows(engine, *recovered.value().engine,
+                 "SELECT a FROM ok_dt ORDER BY a");
+}
+
 TEST(RecoveryAlterTest, TargetLagChangeSurvivesAndReschedules) {
   const std::string dir = UniqueDir("alter");
   VirtualClock clock(0);

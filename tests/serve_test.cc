@@ -11,7 +11,6 @@
 #include <chrono>
 #include <thread>
 
-#include "serve/latency.h"
 #include "serve/query_service.h"
 #include "storage/batch_scan.h"
 
@@ -295,32 +294,24 @@ TEST(ServeTest, BatchCacheServesIdenticalBytes) {
 }
 
 TEST(ServeTest, LatencyHistogramQuantiles) {
-  serve::LatencyHistogram h;
-  EXPECT_EQ(h.QuantileUs(0.5), 0.0);  // empty
+  // The service records read latencies into obs::Histogram; quantiles are
+  // read through Export().
+  obs::Histogram exact;
+  EXPECT_EQ(exact.Export().Quantile(0.5), 0.0);  // empty
 
   // Exact region: values < 8us land in unit buckets with zero error.
-  for (int i = 0; i < 100; ++i) h.Record(3);
-  EXPECT_EQ(h.P50Us(), 3.0);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.max_us(), 3);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
+  for (int i = 0; i < 100; ++i) exact.Record(3);
+  EXPECT_EQ(exact.Export().Quantile(0.5), 3.0);
+  EXPECT_EQ(exact.count(), 100u);
+  EXPECT_EQ(exact.Export().max, 3);
 
   // Log region: 1000 values 0..999, quantiles within a sub-bucket (~6%).
+  obs::Histogram h;
   for (int i = 0; i < 1000; ++i) h.Record(i);
-  EXPECT_NEAR(h.P50Us(), 500.0, 0.07 * 500);
-  EXPECT_NEAR(h.P99Us(), 990.0, 0.07 * 990);
-  EXPECT_EQ(h.max_us(), 999);
-
-  // Bucket math round-trips: a value's bucket midpoint is within half a
-  // sub-bucket of the value, at every magnitude.
-  for (uint64_t v : {0ull, 7ull, 8ull, 1000ull, 123456ull, 99999999ull}) {
-    const size_t idx = serve::LatencyHistogram::BucketIndex(v);
-    const double mid = serve::LatencyHistogram::BucketMidpoint(idx);
-    EXPECT_NEAR(mid, static_cast<double>(v),
-                std::max(1.0, 0.07 * static_cast<double>(v)))
-        << "v=" << v;
-  }
+  const obs::HistogramData d = h.Export();
+  EXPECT_NEAR(d.Quantile(0.5), 500.0, 0.07 * 500);
+  EXPECT_NEAR(d.Quantile(0.99), 990.0, 0.07 * 990);
+  EXPECT_EQ(d.max, 999);
 
   // Concurrent recording is clean (exercised under TSan).
   std::vector<std::thread> writers;
